@@ -1,14 +1,11 @@
 """N-level query simulation under fault injection.
 
-Generalizes the original two-level-only fault simulator to arbitrary tree
-depths and to the full fault-class catalog of :class:`~repro.faults.FaultModel`.
-The control flow mirrors :func:`repro.simulation.simulate_query` exactly —
-same sampling calls, in the same order, against the same generator — and
-all fault indicators come from a child stream spawned off that generator
-(see the draw-order contract in :mod:`repro.faults.model`). Consequence:
-with every probability at zero the result is **bit-identical** to the
-fault-free simulator on the same seed, which the tests assert field by
-field.
+:func:`simulate_query_with_faults` is the shared tree walk of
+:mod:`repro.simulation.query` run with a :class:`~repro.faults.FaultModel`:
+arbitrary tree depths, the full fault-class catalog, and every fault
+indicator drawn from a child stream (see the draw-order contract in
+:mod:`repro.faults.model`) — so with every probability at zero the result
+equals the fault-free simulator's on the same seed.
 
 Failure semantics:
 
@@ -23,24 +20,39 @@ Failure semantics:
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Optional
-
-import numpy as np
+from typing import Any, Optional
 
 from ..core import QueryContext, WaitPolicy
-from ..errors import SimulationError
-from ..rng import SeedLike, resolve_rng
-from ..simulation.query import _estimate_params, _run_aggregator
-from .model import FaultDraws, FaultModel, draw_faults
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs import MetricsRegistry, Span, SpanTracer
+from ..obs import MetricsRegistry, SpanTracer
+from ..rng import SeedLike
+from ..simulation.query import _walk_query
+from .model import FaultModel
 
 __all__ = ["FaultyQueryResult", "simulate_query_with_faults"]
 
 
+class _FaultCounts:
+    """What the faulty and hedged result types share: which fault counts
+    make a result degraded (stragglers slow a query down but lose no data)."""
+
+    crashed_aggregators: int
+    lost_shipments: int
+    crashed_workers: int
+    failed_domains: int
+
+    @property
+    def degraded(self) -> bool:
+        """Whether any data-losing fault fired on this query."""
+        return bool(
+            self.crashed_aggregators
+            or self.lost_shipments
+            or self.crashed_workers
+            or self.failed_domains
+        )
+
+
 @dataclasses.dataclass(frozen=True)
-class FaultyQueryResult:
+class FaultyQueryResult(_FaultCounts):
     """Outcome of one query under fault injection."""
 
     quality: float
@@ -63,25 +75,13 @@ class FaultyQueryResult:
     elapsed: float = 0.0
 
 
-@dataclasses.dataclass
-class _Shipment:
-    arrival: float  # inf when crashed or lost
-    payload: int
-
-
-def _fault_stream(rng: np.random.Generator) -> np.random.Generator:
-    """The dedicated fault stream: a child spawned off the simulation
-    generator, so fault draws never perturb duration draws."""
-    return np.random.default_rng(rng.bit_generator.seed_seq.spawn(1)[0])
-
-
 def simulate_query_with_faults(
     ctx: QueryContext,
     policy: WaitPolicy,
     faults: FaultModel,
     seed: SeedLike = None,
-    tracer: Optional["SpanTracer"] = None,
-    metrics: Optional["MetricsRegistry"] = None,
+    tracer: Optional[SpanTracer] = None,
+    metrics: Optional[MetricsRegistry] = None,
     span_attrs: Optional[dict[str, Any]] = None,
 ) -> FaultyQueryResult:
     """Simulate one n-level query end-to-end under ``faults``.
@@ -93,319 +93,21 @@ def simulate_query_with_faults(
     ``cedar_faults_injected_total{kind=...}`` — so a degraded chaos run
     attributes each lost output to its cause.
     """
-    tree = ctx.true_tree if ctx.true_tree is not None else ctx.offline_tree
-    rng = resolve_rng(seed)
-    policy.begin_query(ctx)
-
-    fanouts = tree.fanouts
-    dists = tree.distributions
-    n_stages = tree.n_stages
-    deadline = ctx.deadline
-    level_counts = [tree.aggregators_at_level(lv) for lv in range(1, n_stages)]
-    n_bottom = level_counts[0]
-    k1 = fanouts[0]
-
-    if faults.domains is not None and faults.domains.n_aggregators != n_bottom:
-        raise SimulationError(
-            f"fault domain map covers {faults.domains.n_aggregators} "
-            f"aggregators, tree has {n_bottom} bottom-level aggregators"
-        )
-
-    # ---- duration draws: same calls, same order as simulate_query -----
-    raw_durations = np.asarray(
-        dists[0].sample((n_bottom, k1), seed=rng), dtype=float
+    result, tally = _walk_query(
+        ctx,
+        policy,
+        seed,
+        tracer=tracer,
+        metrics=metrics,
+        span_attrs=span_attrs,
+        faults=faults,
     )
-    ship_durations_by_level = [
-        np.asarray(dists[1].sample(n_bottom, seed=rng), dtype=float)
-    ]
-    for level in range(2, n_stages):
-        ship_durations_by_level.append(
-            np.asarray(
-                dists[level].sample(level_counts[level - 1], seed=rng),
-                dtype=float,
-            )
-        )
-
-    # ---- fault draws: dedicated child stream, contract order ----------
-    draws: FaultDraws = draw_faults(
-        _fault_stream(rng), faults, n_bottom, k1, level_counts
-    )
-    straggler_workers = int(np.count_nonzero(draws.stragglers))
-    crashed_workers = int(np.count_nonzero(draws.worker_crashes))
-    if faults.straggler_factor != 1.0:
-        raw_durations = np.where(
-            draws.stragglers,
-            raw_durations * faults.straggler_factor,
-            raw_durations,
-        )
-    raw_durations = np.where(draws.worker_crashes, np.inf, raw_durations)
-    durations = np.sort(raw_durations, axis=1)
-
-    failed_domains = int(np.count_nonzero(draws.domain_failures))
-    if faults.domains is not None:
-        domain_dead = draws.domain_failures[
-            np.asarray(faults.domains.assignment, dtype=int)
-        ]
-    else:
-        domain_dead = np.zeros(n_bottom, dtype=bool)
-
-    crashed = 0
-    lost = 0
-    mean_stops: list[float] = []
-
-    # ---- spans: pre-build the tree skeleton top-down ------------------
-    query_span: Optional["Span"] = None
-    level_spans: list[list["Span"]] = []
-    if tracer is not None:
-        from ..obs.span import (
-            CAUSE_AGG_CRASHED,
-            CAUSE_ALL_ARRIVED,
-            CAUSE_DOMAIN_FAILED,
-            CAUSE_INCLUDED,
-            CAUSE_LATE_AT_ROOT,
-            CAUSE_NEVER_ARRIVED,
-            CAUSE_SHIP_LOST,
-            CAUSE_TIMER_EXPIRED,
-        )
-
-        query_span = tracer.begin_span(
-            "query",
-            n_stages,
-            None,
-            0.0,
-            policy=policy.name,
-            deadline=deadline,
-            faulty=True,
-            **(span_attrs or {}),
-        )
-        level_spans = [[] for _ in range(n_stages - 1)]
-        for level in range(n_stages - 1, 0, -1):
-            for a in range(level_counts[level - 1]):
-                if level == n_stages - 1:
-                    parent = query_span.span_id
-                else:
-                    parent = level_spans[level][a // fanouts[level]].span_id
-                level_spans[level - 1].append(
-                    tracer.begin_span("aggregator", level, parent, 0.0, index=a)
-                )
-
-    def _fault_cause(level_idx: int, a: int) -> Optional[str]:
-        """The fault that destroyed this aggregator's shipment, if any."""
-        if draws.agg_crashes[level_idx][a]:
-            return CAUSE_AGG_CRASHED
-        if level_idx == 0 and domain_dead[a]:
-            return CAUSE_DOMAIN_FAILED
-        if draws.ship_losses[level_idx][a]:
-            return CAUSE_SHIP_LOST
-        return None
-
-    # ---- level 1: processes -> bottom aggregators ---------------------
-    shipments: list[_Shipment] = []
-    span_row: list["Span"] = []
-    stops_acc = 0.0
-    k1_crashed_per_agg = np.count_nonzero(draws.worker_crashes, axis=1)
-    for a in range(n_bottom):
-        controller = policy.controller(ctx, 1)
-        depart, payload, seen = _run_aggregator(controller, durations[a], None)
-        stops_acc += depart
-        if draws.agg_crashes[0][a] or domain_dead[a]:
-            crashed += 1
-            shipments.append(_Shipment(arrival=np.inf, payload=0))
-        elif draws.ship_losses[0][a]:
-            lost += 1
-            shipments.append(_Shipment(arrival=np.inf, payload=0))
-        else:
-            shipments.append(
-                _Shipment(
-                    arrival=depart + float(ship_durations_by_level[0][a]),
-                    payload=payload,
-                )
-            )
-        if tracer is not None:
-            span = level_spans[0][a]
-            est_mu, est_sigma = _estimate_params(controller)
-            fault = _fault_cause(0, a)
-            span.end = depart
-            span.attrs.update(
-                wait=depart,
-                n_arrived=seen,
-                dropped=k1 - seen,
-                crashed_workers=int(k1_crashed_per_agg[a]),
-                collected=payload,
-                ship_arrival=shipments[-1].arrival
-                if np.isfinite(shipments[-1].arrival)
-                else None,
-                cause=CAUSE_ALL_ARRIVED if seen == k1 else CAUSE_TIMER_EXPIRED,
-                fault=fault,
-                est_mu=est_mu,
-                est_sigma=est_sigma,
-            )
-            span_row.append(span)
-            if tracer.record_workers:
-                for p in range(k1):
-                    t = float(durations[a][p])
-                    tracer.add_worker_span(
-                        span.span_id,
-                        0.0,
-                        t if np.isfinite(t) else deadline,
-                        included=bool(t <= depart),
-                        crashed=not bool(np.isfinite(t)),
-                    )
-        if metrics is not None:
-            from ..simulation.query import (
-                _observe_aggregator,
-                _observe_estimator_error,
-            )
-
-            _observe_aggregator(metrics, policy.name, 1, depart, deadline)
-            _observe_estimator_error(metrics, policy.name, controller, dists[0])
-    mean_stops.append(stops_acc / max(1, n_bottom))
-
-    # ---- levels 2 .. n-1: aggregators of aggregators ------------------
-    for level in range(2, n_stages):
-        group = fanouts[level - 1]
-        n_aggs = level_counts[level - 1]
-        if n_aggs * group != len(shipments):
-            raise SimulationError(
-                f"level {level}: {len(shipments)} shipments not divisible "
-                f"by fan-out {group}"
-            )
-        ship_durations = ship_durations_by_level[level - 1]
-        next_shipments: list[_Shipment] = []
-        next_span_row: list["Span"] = []
-        stops_acc = 0.0
-        for a in range(n_aggs):
-            batch = shipments[a * group : (a + 1) * group]
-            order = np.argsort([s.arrival for s in batch], kind="stable")
-            arrivals = np.array([batch[i].arrival for i in order])
-            payloads = np.array([batch[i].payload for i in order])
-            controller = policy.controller(ctx, level)
-            depart, payload, seen = _run_aggregator(controller, arrivals, payloads)
-            stops_acc += depart
-            if draws.agg_crashes[level - 1][a]:
-                crashed += 1
-                next_shipments.append(_Shipment(arrival=np.inf, payload=0))
-            elif draws.ship_losses[level - 1][a]:
-                lost += 1
-                next_shipments.append(_Shipment(arrival=np.inf, payload=0))
-            else:
-                next_shipments.append(
-                    _Shipment(
-                        arrival=depart + float(ship_durations[a]),
-                        payload=payload,
-                    )
-                )
-            if tracer is not None:
-                span = level_spans[level - 1][a]
-                est_mu, est_sigma = _estimate_params(controller)
-                span.end = depart
-                span.attrs.update(
-                    wait=depart,
-                    n_arrived=seen,
-                    dropped=group - seen,
-                    collected=payload,
-                    ship_arrival=next_shipments[-1].arrival
-                    if np.isfinite(next_shipments[-1].arrival)
-                    else None,
-                    cause=(
-                        CAUSE_ALL_ARRIVED if seen == group else CAUSE_TIMER_EXPIRED
-                    ),
-                    fault=_fault_cause(level - 1, a),
-                    est_mu=est_mu,
-                    est_sigma=est_sigma,
-                )
-                next_span_row.append(span)
-            if metrics is not None:
-                from ..simulation.query import _observe_aggregator
-
-                _observe_aggregator(metrics, policy.name, level, depart, deadline)
-        mean_stops.append(stops_acc / max(1, n_aggs))
-        shipments = next_shipments
-        span_row = next_span_row
-
-    # ---- root: include shipments arriving by the deadline -------------
-    included = 0
-    late_count = 0
-    missing = 0
-    last_arrival = 0.0
-    for idx, s in enumerate(shipments):
-        on_time = s.arrival <= deadline
-        if on_time:
-            included += s.payload
-            if s.arrival > last_arrival:
-                last_arrival = s.arrival
-        elif np.isfinite(s.arrival):
-            late_count += 1
-        else:
-            missing += 1
-        if tracer is not None:
-            span_row[idx].attrs["root_verdict"] = (
-                CAUSE_INCLUDED
-                if on_time
-                else (
-                    CAUSE_LATE_AT_ROOT
-                    if np.isfinite(s.arrival)
-                    else CAUSE_NEVER_ARRIVED
-                )
-            )
-
-    total = tree.total_processes
-    quality = included / total if total else 0.0
-    if tracer is not None:
-        assert query_span is not None  # set in the tracer branch above
-        query_span.end = deadline
-        query_span.attrs.update(
-            quality=quality,
-            included_outputs=included,
-            total_outputs=total,
-            late_at_root=late_count,
-            crashed_aggregators=crashed,
-            lost_shipments=lost,
-            crashed_workers=crashed_workers,
-            straggler_workers=straggler_workers,
-            failed_domains=failed_domains,
-        )
-    if metrics is not None:
-        metrics.counter("queries_total", help="simulated queries").inc(
-            policy=policy.name
-        )
-        metrics.histogram(
-            "response_quality", help="per-query response quality"
-        ).observe(quality, policy=policy.name)
-        metrics.counter(
-            "deadline_misses_total",
-            help="top-level shipments that reached the root after the deadline",
-        ).inc(late_count, policy=policy.name)
-        faults_counter = metrics.counter(
-            "faults_injected_total",
-            help="fault events that fired, by kind",
-        )
-        for kind, n in (
-            ("worker_crash", crashed_workers),
-            ("straggler", straggler_workers),
-            ("agg_crash", crashed),
-            ("ship_loss", lost),
-            ("domain_failure", failed_domains),
-        ):
-            if n:
-                faults_counter.inc(n, policy=policy.name, kind=kind)
-        metrics.counter(
-            "outputs_included_total", help="process outputs included at the root"
-        ).inc(included, policy=policy.name)
-        metrics.counter(
-            "outputs_dropped_total",
-            help="process outputs missing from the response, by cause",
-        ).inc(total - included, policy=policy.name, cause="fault_fold_or_late")
     return FaultyQueryResult(
-        quality=quality,
-        included_outputs=included,
-        total_outputs=total,
-        crashed_aggregators=crashed,
-        lost_shipments=lost,
-        crashed_workers=crashed_workers,
-        straggler_workers=straggler_workers,
-        failed_domains=failed_domains,
-        mean_stops=tuple(mean_stops),
-        late_at_root=late_count,
-        elapsed=deadline if (late_count or missing) else last_arrival,
+        quality=result.quality,
+        included_outputs=result.included_outputs,
+        total_outputs=result.total_outputs,
+        mean_stops=result.mean_stops,
+        late_at_root=result.late_at_root,
+        elapsed=result.elapsed,
+        **vars(tally),
     )

@@ -20,20 +20,30 @@ every tree level:
 
 Draw-order contract
 -------------------
-Seeded fault runs must stay bit-stable as fault classes are added. Two
-rules guarantee that:
+Seeded runs must stay bit-stable as fault classes are added, and every
+simulator entry point must see the same durations and the same faults
+for a given seed. One tree walk (``repro.simulation.query._walk_query``)
+serves all of them and draws in this order:
 
-1. Fault indicators are drawn from a **child RNG stream** spawned off the
-   simulation generator (``rng.bit_generator.seed_seq.spawn``), so the
-   duration draws of the fault-free simulator are never perturbed — a
-   :class:`FaultModel` with all probabilities zero is bit-identical to
-   the plain simulator on the same seed.
-2. Within the fault stream, classes are drawn in the fixed order of
+1. From the **simulation generator**: the ``(n_bottom, k1)`` matrix of
+   bottom-level durations, then one ship-duration vector per aggregator
+   level, bottom-up — all before any aggregator runs. Nothing else draws
+   from it, except Cedar-guided reissue, whose duplicate durations come
+   from it mid-walk (which is why that entry point is two-level only).
+2. Fault indicators come from a **first child stream** spawned off that
+   generator (``rng.bit_generator.seed_seq.spawn``), so the duration
+   draws are never perturbed — a :class:`FaultModel` with all
+   probabilities zero gives the plain simulator's result on the same
+   seed. Without a :class:`FaultModel` no child is spawned.
+3. Hedge duplicates (:func:`repro.serve.simulate_query_hedged`) draw from
+   a **second child stream**, spawned only when hedging is on — so the
+   hedged and the injected run of one seed face the same fault schedule.
+4. Within the fault stream, classes are drawn in the fixed order of
    :data:`FAULT_DRAW_ORDER`; **new classes must append to the end** of
    that tuple so earlier classes' draws keep their values for a given
    seed. Every class draws unconditionally (even at probability zero).
 
-:func:`draw_faults` is the single place those draws happen; the injector
+:func:`draw_faults` is the single place the fault draws happen; the walk
 and tests both go through it.
 """
 

@@ -175,10 +175,5 @@ class FaultyBackend:
             included_outputs=faulty.included_outputs,
             total_outputs=faulty.total_outputs,
             elapsed=faulty.elapsed,
-            degraded=bool(
-                faulty.crashed_aggregators
-                or faulty.lost_shipments
-                or faulty.crashed_workers
-                or faulty.failed_domains
-            ),
+            degraded=faulty.degraded,
         )

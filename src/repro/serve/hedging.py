@@ -9,14 +9,13 @@ offline tree (Dean & Barroso's classic "hedged request" rule), a
 per-aggregator reissue budget, and a per-tenant budget so one noisy
 tenant cannot monopolise the duplicate capacity.
 
-The execution loop is shared with Cedar-guided reissue
-(:func:`repro.simulation.run_aggregator_with_reissue`, static mode); the
-fault draws come from the *same* child stream, in the same order, as
-:func:`~repro.faults.simulate_query_with_faults` — so a hedging serve run
-and a Cedar serve run on the same requests face bit-identical fault
-schedules, and the benchmark's head-to-head comparison isolates the
-policy difference. Hedge duplicate draws use a *second* spawned stream,
-so hedging never perturbs durations or fault indicators.
+A hedged query is the shared tree walk of :mod:`repro.simulation.query`
+under a :class:`~repro.faults.FaultModel`, with the static-bar reissue
+loop (:func:`repro.simulation.run_aggregator_with_reissue`) driving the
+bottom aggregators — so a hedging serve run and a Cedar serve run on the
+same requests face the same fault schedule and the benchmark's
+head-to-head comparison isolates the policy difference. Hedge duplicates
+draw from their own child stream (see :mod:`repro.faults.model`).
 
 The static bar is load-bearing for testability: until the first reissue
 triggers, the trajectory is independent of the hedge quantile, so the
@@ -29,16 +28,16 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Optional
 
-import numpy as np
-
 from ..core import QueryContext, WaitPolicy
-from ..errors import ConfigError, SimulationError
-from ..faults.model import FaultDraws, FaultModel, draw_faults
+from ..errors import ConfigError
+from ..faults.inject import _FaultCounts
+from ..faults.model import FaultModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import PROFILER
 from ..obs.span import SpanTracer
-from ..rng import SeedLike, resolve_rng
-from ..simulation.reissue import run_aggregator_with_reissue
+from ..rng import SeedLike
+from ..simulation.query import _walk_query
+from ..simulation.reissue import _ReissueDriver
 from .chaos import FaultSchedule
 from .request import QueryRequest
 from .server import BackendResult
@@ -78,7 +77,7 @@ class HedgingConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class HedgedQueryResult:
+class HedgedQueryResult(_FaultCounts):
     """Outcome of one hedged query under fault injection."""
 
     quality: float
@@ -95,16 +94,6 @@ class HedgedQueryResult:
     failed_domains: int = 0
     late_at_root: int = 0
 
-    @property
-    def degraded(self) -> bool:
-        """Whether any data-losing fault fired on this query."""
-        return bool(
-            self.crashed_aggregators
-            or self.lost_shipments
-            or self.crashed_workers
-            or self.failed_domains
-        )
-
 
 def simulate_query_hedged(
     ctx: QueryContext,
@@ -118,118 +107,32 @@ def simulate_query_hedged(
 
     ``budget`` caps the total reissues this query may spend (the
     remaining per-tenant allowance); None means only the per-aggregator
-    fraction applies. Duration and fault draws replicate
-    :func:`~repro.faults.simulate_query_with_faults` call-for-call, so a
-    given seed produces the identical fault schedule under both policies;
-    hedge duplicates draw from a second spawned stream. A crashed
-    worker's copy never arrives, but its hedge duplicate can still win —
-    hedging's one structural advantage over waiting.
+    fraction applies. A crashed worker's copy never arrives, but its
+    hedge duplicate can still win — hedging's one structural advantage
+    over waiting.
     """
-    tree = ctx.true_tree if ctx.true_tree is not None else ctx.offline_tree
-    if tree.n_stages != 2:
-        raise SimulationError(
-            "hedged simulation currently covers two-level trees; "
-            f"got {tree.n_stages} stages"
-        )
     tok = PROFILER.start()
-    rng = resolve_rng(seed)
-    policy.begin_query(ctx)
-
-    k1, k2 = tree.fanouts
-    x1, x2 = tree.distributions
-    deadline = ctx.deadline
-
-    # ---- duration draws: same calls, same order as the fault injector -
-    raw_durations = np.asarray(x1.sample((k2, k1), seed=rng), dtype=float)
-    ship = np.asarray(x2.sample(k2, seed=rng), dtype=float)
-
-    # ---- fault draws: first spawned child stream (identical to the
-    # injector's), then a second child for hedge duplicates ------------
-    fault_rng = np.random.default_rng(rng.bit_generator.seed_seq.spawn(1)[0])
-    hedge_rng = np.random.default_rng(rng.bit_generator.seed_seq.spawn(1)[0])
-    draws: FaultDraws = draw_faults(fault_rng, faults, k2, k1, [k2])
-    straggler_workers = int(np.count_nonzero(draws.stragglers))
-    crashed_workers = int(np.count_nonzero(draws.worker_crashes))
-    if faults.straggler_factor != 1.0:
-        raw_durations = np.where(
-            draws.stragglers,
-            raw_durations * faults.straggler_factor,
-            raw_durations,
-        )
-    raw_durations = np.where(draws.worker_crashes, np.inf, raw_durations)
-    durations = np.sort(raw_durations, axis=1)
-
-    failed_domains = int(np.count_nonzero(draws.domain_failures))
-    if faults.domains is not None:
-        domain_dead = draws.domain_failures[
-            np.asarray(faults.domains.assignment, dtype=int)
-        ]
-    else:
-        domain_dead = np.zeros(k2, dtype=bool)
-
-    # the static hedge bar: a fixed quantile of the offline distribution
-    threshold = float(
-        ctx.offline_tree.stages[0].duration.quantile(config.hedge_quantile)
+    driver = _ReissueDriver(
+        ctx,
+        "hedged",
+        config.budget_fraction,
+        total=budget,
+        # the static hedge bar: a fixed quantile of the offline distribution
+        threshold_age=float(
+            ctx.offline_tree.stages[0].duration.quantile(config.hedge_quantile)
+        ),
     )
-    per_agg = max(1, int(config.budget_fraction * k1))
-    budget_left = budget if budget is not None else k1 * k2
-
-    crashed = 0
-    lost = 0
-    total_reissued = 0
-    total_wins = 0
-    arrivals: list[tuple[float, int]] = []
-    for a in range(k2):
-        controller = policy.controller(ctx, 1)
-        depart, collected, reissued, wins = run_aggregator_with_reissue(
-            controller,
-            durations[a],
-            x1,
-            hedge_rng,
-            budget=min(per_agg, max(0, budget_left)),
-            threshold_age=threshold,
-        )
-        budget_left -= reissued
-        total_reissued += reissued
-        total_wins += wins
-        if draws.agg_crashes[0][a] or domain_dead[a]:
-            crashed += 1
-            arrivals.append((np.inf, 0))
-        elif draws.ship_losses[0][a]:
-            lost += 1
-            arrivals.append((np.inf, 0))
-        else:
-            arrivals.append((depart + float(ship[a]), collected))
-
-    included = 0
-    late_count = 0
-    missing = 0
-    last_arrival = 0.0
-    for arrival, payload in arrivals:
-        if arrival <= deadline:
-            included += payload
-            if arrival > last_arrival:
-                last_arrival = arrival
-        elif np.isfinite(arrival):
-            late_count += 1
-        else:
-            missing += 1
-
-    total = k1 * k2
+    result, tally = _walk_query(ctx, policy, seed, faults=faults, bottom=driver)
     PROFILER.stop("serve.hedge.query", tok)
     return HedgedQueryResult(
-        quality=included / total if total else 0.0,
-        included_outputs=included,
-        total_outputs=total,
-        elapsed=deadline if (late_count or missing) else last_arrival,
-        reissued=total_reissued,
-        hedge_wins=total_wins,
-        crashed_workers=crashed_workers,
-        straggler_workers=straggler_workers,
-        crashed_aggregators=crashed,
-        lost_shipments=lost,
-        failed_domains=failed_domains,
-        late_at_root=late_count,
+        quality=result.quality,
+        included_outputs=result.included_outputs,
+        total_outputs=result.total_outputs,
+        elapsed=result.elapsed,
+        reissued=driver.reissued,
+        hedge_wins=driver.wins,
+        late_at_root=result.late_at_root,
+        **vars(tally),
     )
 
 

@@ -93,11 +93,10 @@ class QueryBackend(Protocol):
 
 
 class SimBackend:
-    """Deterministic in-process simulation, optionally fault-injected."""
+    """Deterministic in-process simulation of the fault-free tree."""
 
-    def __init__(self, agg_sample: Optional[int] = None, faults: Any = None):
+    def __init__(self, agg_sample: Optional[int] = None):
         self.agg_sample = agg_sample
-        self.faults = faults
 
     def run(
         self,
@@ -108,30 +107,6 @@ class SimBackend:
         metrics: Optional[MetricsRegistry],
         span_attrs: dict[str, Any],
     ) -> BackendResult:
-        if self.faults is not None:
-            from ..faults.inject import simulate_query_with_faults
-
-            faulty = simulate_query_with_faults(
-                ctx,
-                policy,
-                self.faults,
-                seed=seed,
-                tracer=tracer,
-                metrics=metrics,
-                span_attrs=span_attrs,
-            )
-            return BackendResult(
-                quality=faulty.quality,
-                included_outputs=faulty.included_outputs,
-                total_outputs=faulty.total_outputs,
-                elapsed=faulty.elapsed,
-                degraded=bool(
-                    faulty.crashed_aggregators
-                    or faulty.lost_shipments
-                    or faulty.crashed_workers
-                    or faulty.failed_domains
-                ),
-            )
         from ..simulation.query import simulate_query
 
         result = simulate_query(

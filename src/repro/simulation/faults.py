@@ -7,14 +7,7 @@ This module keeps the historical import path working::
 
     from repro.simulation import FaultModel, simulate_query_with_faults
 
-Draw-order note (the fix for the original crash-vs-loss ambiguity): the
-original injector drew ``crashes`` then ``losses`` from the *same*
-generator as the durations, so adding a fault class shifted every
-subsequent draw. The generalized injector draws all fault indicators
-from a child stream spawned off the simulation generator, in the fixed
-order :data:`repro.faults.FAULT_DRAW_ORDER` (crash draws still precede
-loss draws at every level, and a crashed aggregator is never *also*
-counted as lost). See :mod:`repro.faults.model` for the full contract.
+The draw-order contract lives in :mod:`repro.faults.model`.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ from ..core.aggregator import AggregatorController
 from ..core.policies import CedarPolicy
 from ..distributions import Distribution
 from ..errors import SimulationError
-from ..rng import SeedLike, resolve_rng
+from ..rng import SeedLike
+from .query import _walk_query
 
 __all__ = [
     "ReissueConfig",
@@ -151,6 +152,64 @@ def run_aggregator_with_reissue(
     return stop, collected, len(reissued), wins
 
 
+class _ReissueDriver:
+    """Bottom-aggregator driver for the tree walk: runs every aggregator
+    through :func:`run_aggregator_with_reissue` and carries the budget
+    state across them (``per_aggregator`` each, ``total`` per query)."""
+
+    def __init__(
+        self,
+        ctx: QueryContext,
+        what: str,
+        budget_fraction: float,
+        total: Optional[int] = None,
+        threshold_age: Optional[float] = None,
+        reissue_percentile: float = 0.9,
+    ):
+        tree = ctx.true_tree if ctx.true_tree is not None else ctx.offline_tree
+        # duplicates are drawn mid-walk, which is only order-safe against
+        # the walk's up-front ship draws when there is one aggregator level
+        if tree.n_stages != 2:
+            raise SimulationError(
+                f"{what} simulation currently covers two-level trees; "
+                f"got {tree.n_stages} stages"
+            )
+        k1, k2 = tree.fanouts
+        self.fresh_source = tree.distributions[0]
+        self.per_aggregator = max(1, int(budget_fraction * k1))
+        self.budget_left = total if total is not None else k1 * k2
+        self.threshold_age = threshold_age
+        self.reissue_percentile = reissue_percentile
+        self.reissued = 0
+        self.wins = 0
+
+    def __call__(
+        self,
+        controller: AggregatorController,
+        durations: np.ndarray,
+        rng: np.random.Generator,
+    ) -> tuple[float, int, int]:
+        if self.threshold_age is None and not isinstance(
+            controller, AdaptiveController
+        ):
+            raise SimulationError(
+                "reissue requires an adaptive bottom-level controller"
+            )
+        depart, collected, reissued, wins = run_aggregator_with_reissue(
+            controller,
+            durations,
+            self.fresh_source,
+            rng,
+            budget=min(self.per_aggregator, max(0, self.budget_left)),
+            threshold_age=self.threshold_age,
+            reissue_percentile=self.reissue_percentile,
+        )
+        self.budget_left -= reissued
+        self.reissued += reissued
+        self.wins += wins
+        return depart, collected, collected
+
+
 def simulate_query_with_reissue(
     ctx: QueryContext,
     config: ReissueConfig,
@@ -162,50 +221,17 @@ def simulate_query_with_reissue(
     Requires an adaptive (Cedar-style) policy — the reissue trigger is
     the learned distribution itself.
     """
-    tree = ctx.true_tree if ctx.true_tree is not None else ctx.offline_tree
-    if tree.n_stages != 2:
-        raise SimulationError(
-            "reissue simulation currently covers two-level trees; "
-            f"got {tree.n_stages} stages"
-        )
-    policy = policy or CedarPolicy()
-    rng = resolve_rng(seed)
-    policy.begin_query(ctx)
-
-    k1, k2 = tree.fanouts
-    x1, x2 = tree.distributions
-    deadline = ctx.deadline
-
-    durations = np.sort(np.asarray(x1.sample((k2, k1), seed=rng)), axis=1)
-    ship = np.asarray(x2.sample(k2, seed=rng), dtype=float)
-
-    included = 0
-    total_reissued = 0
-    total_wins = 0
-    for a in range(k2):
-        controller = policy.controller(ctx, 1)
-        if not isinstance(controller, AdaptiveController):
-            raise SimulationError(
-                "reissue requires an adaptive bottom-level controller"
-            )
-        depart, collected, reissued, wins = run_aggregator_with_reissue(
-            controller,
-            durations[a],
-            x1,
-            rng,
-            budget=max(1, int(config.budget_fraction * k1)),
-            reissue_percentile=config.reissue_percentile,
-        )
-        total_reissued += reissued
-        total_wins += wins
-        if depart + float(ship[a]) <= deadline:
-            included += collected
-
-    total = k1 * k2
+    driver = _ReissueDriver(
+        ctx,
+        "reissue",
+        config.budget_fraction,
+        reissue_percentile=config.reissue_percentile,
+    )
+    result, _ = _walk_query(ctx, policy or CedarPolicy(), seed, bottom=driver)
     return ReissueQueryResult(
-        quality=included / total,
-        included_outputs=included,
-        total_outputs=total,
-        reissued=total_reissued,
-        reissue_wins=total_wins,
+        quality=result.quality,
+        included_outputs=result.included_outputs,
+        total_outputs=result.total_outputs,
+        reissued=driver.reissued,
+        reissue_wins=driver.wins,
     )

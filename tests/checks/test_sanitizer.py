@@ -92,7 +92,7 @@ def test_patch_rng_rebinds_from_imports_in_consumer_modules():
     must still produce tracked children — the patch rebinds consumer
     globals, not just repro.rng."""
     import repro.rng
-    import repro.serve.hedging as consumer  # binds resolve_rng via from-import
+    import repro.simulation.query as consumer  # binds resolve_rng via from-import
 
     registry = SanitizerRegistry()
     with patch_rng(registry):

@@ -65,15 +65,31 @@ class TestBitIdentity:
         assert faulty.straggler_workers == 0
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_zero_rates_bit_identical_property(self, seed):
-        ctx = _ctx(TWO_LEVEL)
-        policy = FixedStopPolicy(stops=(4.0,))
-        faulty = simulate_query_with_faults(ctx, policy, FaultModel(), seed=seed)
-        plain = simulate_query(ctx, policy, seed=seed)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        fanouts=st.lists(
+            st.integers(min_value=1, max_value=6), min_size=2, max_size=4
+        ),
+        policy_name=st.sampled_from(["fixed", "proportional-split", "cedar"]),
+    )
+    def test_zero_rates_bit_identical_property(self, seed, fanouts, policy_name):
+        tree = TreeSpec(
+            [
+                Stage(LogNormal(0.1 * lv, 0.8 - 0.1 * lv), k)
+                for lv, k in enumerate(fanouts)
+            ]
+        )
+        ctx = _ctx(tree)
+        faulty = simulate_query_with_faults(
+            ctx, _policy(policy_name, tree), FaultModel(), seed=seed
+        )
+        plain = simulate_query(ctx, _policy(policy_name, tree), seed=seed)
         assert faulty.quality == plain.quality
         assert faulty.included_outputs == plain.included_outputs
+        assert faulty.total_outputs == plain.total_outputs
         assert faulty.mean_stops == plain.mean_stops
+        assert faulty.late_at_root == plain.late_at_root
+        assert faulty.elapsed == plain.elapsed
 
     def test_nonzero_rates_leave_durations_paired(self):
         """Fault draws come from a child stream: the underlying duration

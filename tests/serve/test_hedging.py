@@ -19,7 +19,7 @@ from repro.core import QueryContext, TreeSpec
 from repro.core.policies import CedarPolicy
 from repro.distributions import LogNormal
 from repro.errors import ConfigError, SimulationError
-from repro.faults import FaultModel
+from repro.faults import FaultDomainMap, FaultModel, simulate_query_with_faults
 from repro.serve import (
     CedarServer,
     DegradeConfig,
@@ -167,6 +167,37 @@ class TestBudgets:
 class TestDeterminismAndShape:
     def test_same_seed_same_result(self):
         assert _hedged(0.7, seed=42) == _hedged(0.7, seed=42)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2608])
+    def test_zero_budget_equals_the_fault_injector(self, seed):
+        """No hedge can fire at budget 0, so what is left is the fault
+        schedule itself: identical, field for field, to the injector's on
+        the same seed and model."""
+        faults = dataclasses.replace(
+            FAULTS,
+            agg_crash_prob=0.1,
+            domain_fail_prob=0.2,
+            domains=FaultDomainMap.contiguous(TREE.fanouts[1], 2),
+        )
+        hedged = _hedged(0.6, seed, budget=0, faults=faults)
+        injected = simulate_query_with_faults(
+            _ctx(), CedarPolicy(grid_points=48, min_samples=3), faults, seed=seed
+        )
+        assert hedged.reissued == hedged.hedge_wins == 0
+        for field in (
+            "quality",
+            "included_outputs",
+            "total_outputs",
+            "elapsed",
+            "late_at_root",
+            "crashed_workers",
+            "straggler_workers",
+            "crashed_aggregators",
+            "lost_shipments",
+            "failed_domains",
+            "degraded",
+        ):
+            assert getattr(hedged, field) == getattr(injected, field), field
 
     def test_three_level_trees_rejected(self):
         from repro.core import Stage
