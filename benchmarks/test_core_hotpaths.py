@@ -9,7 +9,13 @@ CALCULATEWAIT sweep) must be far under 10 ms at the default grid.
 import numpy as np
 import pytest
 
-from repro.core import Stage, TreeSpec, WaitOptimizer, calculate_wait
+from repro.core import (
+    Stage,
+    TreeSpec,
+    WaitOptimizer,
+    WaitTableCache,
+    calculate_wait,
+)
 from repro.distributions import LogNormal
 from repro.estimation import OrderStatisticEstimator
 
@@ -28,6 +34,29 @@ def test_wait_sweep_latency(benchmark, optimizer):
     wait = benchmark(lambda: optimizer.optimize(X1, 50))
     assert 0.0 <= wait <= DEADLINE
     assert benchmark.stats["mean"] < 0.010  # the paper's tens-of-ms bar
+
+
+def test_live_sweep_latency(benchmark, optimizer):
+    """The sweep the §4.3.3 cache below replaces, at its probe point."""
+    dist = LogNormal(6.1, 0.9)
+    benchmark(lambda: optimizer.optimize(dist, 50))
+
+
+def test_cache_lookup_latency_and_error_bound(benchmark, optimizer):
+    """§4.3.3 "simply precompute these wait-durations": a hot lookup in
+    the quantized cache is a dict probe, and the worst |cached - exact|
+    wait over the probe box stays within 5% of the deadline."""
+    tail = optimizer.tail_stages
+    cache = WaitTableCache()
+    dist = LogNormal(6.1, 0.9)
+    cache.wait_for(tail, DEADLINE, dist, 50, 512)  # populate the bucket
+    wait = benchmark(lambda: cache.wait_for(tail, DEADLINE, dist, 50, 512))
+    assert 0.0 <= wait <= cache.deadline_representative(DEADLINE)
+    err = cache.max_abs_error_vs(
+        optimizer, 50, mu_range=(3.0, 9.0), sigma_range=(0.3, 2.0),
+        probe_points=32,
+    )
+    assert err <= 0.05 * DEADLINE
 
 
 def test_full_replan_latency(benchmark, optimizer):

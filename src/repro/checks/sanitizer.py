@@ -36,6 +36,7 @@ internally, which would fail otherwise).
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import json
 import sys
@@ -477,31 +478,16 @@ def run_sanitizer(
 
 
 def _default_benches() -> dict[str, Callable[[], Any]]:
-    from repro.serve import (
-        run_chaos_serve_bench,
-        run_serve_bench,
-        run_shard_serve_bench,
-        smoke_bench_spec,
-        smoke_chaos_spec,
-        smoke_shard_spec,
-    )
+    from repro.benches import BENCHES
 
-    def serve() -> Any:
-        spec = smoke_bench_spec()
-        return run_serve_bench(
-            qps_points=spec["qps_points"],
-            n_requests=spec["n_requests"],
-            warm_requests=spec["warm_requests"],
-            config=spec["config"],
+    return {
+        label: functools.partial(BENCHES[name].run, **BENCHES[name].smoke)
+        for label, name in (
+            ("serve", "serve"),
+            ("chaos", "chaos"),
+            ("shard", "shards"),
         )
-
-    def chaos() -> Any:
-        return run_chaos_serve_bench(**smoke_chaos_spec())
-
-    def shard() -> Any:
-        return run_shard_serve_bench(**smoke_shard_spec())
-
-    return {"serve": serve, "chaos": chaos, "shard": shard}
+    }
 
 
 def render_report(report: dict[str, Any]) -> str:

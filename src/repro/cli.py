@@ -251,33 +251,18 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="shrunk sweep for CI smoke jobs (finishes in seconds)",
     )
-    serve_p.add_argument(
-        "--chaos",
-        action="store_true",
-        help="run the fault x drift chaos sweep instead of the QPS sweep "
-        "(pinned scenario sizes; --qps/--requests/--no-warm are ignored)",
-    )
-    serve_p.add_argument(
-        "--shards",
-        action="store_true",
-        help="run the sharded-supervision kill x load sweep instead of "
-        "the QPS sweep (crash recovery + bulkhead isolation; pinned "
-        "scenario sizes; --requests/--no-warm are ignored)",
-    )
-    serve_p.add_argument(
-        "--waitpath",
-        action="store_true",
-        help="run the batched-wait-solver / wait-cache planner-cost "
-        "comparison instead of the QPS sweep (deterministic work-unit "
-        "model; --qps/--no-warm are ignored)",
-    )
-    serve_p.add_argument(
-        "--learned",
-        action="store_true",
-        help="run the learned-wait-table claim suite instead of the QPS "
-        "sweep (O(1) serving cost, held-out quality, byte-determinism; "
-        "--qps/--requests/--no-warm are ignored)",
-    )
+    from .benches import BENCHES
+
+    for bench in BENCHES.values():
+        if bench.name == "serve":
+            continue
+        takes = "/".join(f"--{o.replace('_', '-')}" for o in bench.options)
+        serve_p.add_argument(
+            f"--{bench.name}",
+            action="store_true",
+            help=f"run the {bench.what} instead of the QPS sweep "
+            f"(takes {takes}; any other sweep option is an error)",
+        )
     serve_p.add_argument(
         "--qps",
         type=float,
@@ -287,7 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "default ladder straddles saturation)",
     )
     serve_p.add_argument(
-        "--requests", type=int, default=60, help="requests per load point"
+        "--requests",
+        type=int,
+        default=None,
+        help="requests per load point (default 60, smoke 16)",
     )
     serve_p.add_argument(
         "--deadline", type=float, default=60.0, help="per-query deadline"
@@ -780,98 +768,20 @@ def _cmd_metrics(args) -> int:
 def _cmd_serve_bench(args) -> int:
     import json
 
+    from .benches import BENCHES
     from .errors import ConfigError
-    from .serve import (
-        run_chaos_serve_bench,
-        run_serve_bench,
-        run_shard_serve_bench,
-        run_waitpath_bench,
-        smoke_bench_spec,
-        smoke_chaos_spec,
-        smoke_shard_spec,
-        smoke_waitpath_spec,
-    )
 
+    selected = [name for name in BENCHES if getattr(args, name, False)]
+    if len(selected) > 1:
+        flags = ", ".join(f"--{name}" for name in BENCHES if name != "serve")
+        print(f"error: pass at most one of {flags}", file=sys.stderr)
+        return 1
+    bench = BENCHES[selected[0] if selected else "serve"]
+    options = dict.fromkeys(o for b in BENCHES.values() for o in b.options)
     try:
-        exclusive = [args.chaos, args.shards, args.waitpath, args.learned]
-        if sum(1 for flag in exclusive if flag) > 1:
-            print(
-                "error: pass at most one of --chaos, --shards, --waitpath, "
-                "--learned",
-                file=sys.stderr,
-            )
-            return 1
-        if args.learned:
-            from .learn import run_learned_bench, smoke_learned_spec
-
-            if args.smoke:
-                doc = run_learned_bench(
-                    serve_deadline=args.deadline,
-                    serve_seed=args.seed,
-                    **smoke_learned_spec(),
-                )
-            else:
-                doc = run_learned_bench(
-                    serve_deadline=args.deadline,
-                    serve_seed=args.seed,
-                )
-        elif args.waitpath:
-            if args.smoke:
-                doc = run_waitpath_bench(
-                    deadline=args.deadline,
-                    seed=args.seed,
-                    **smoke_waitpath_spec(),
-                )
-            else:
-                doc = run_waitpath_bench(
-                    n_requests=args.requests,
-                    deadline=args.deadline,
-                    seed=args.seed,
-                )
-        elif args.shards:
-            if args.smoke:
-                doc = run_shard_serve_bench(
-                    deadline=args.deadline,
-                    seed=args.seed,
-                    **smoke_shard_spec(),
-                )
-            else:
-                doc = run_shard_serve_bench(
-                    qps_points=args.qps,
-                    deadline=args.deadline,
-                    seed=args.seed,
-                )
-        elif args.chaos:
-            if args.smoke:
-                doc = run_chaos_serve_bench(
-                    deadline=args.deadline,
-                    seed=args.seed,
-                    **smoke_chaos_spec(),
-                )
-            else:
-                doc = run_chaos_serve_bench(
-                    deadline=args.deadline,
-                    seed=args.seed,
-                )
-        elif args.smoke:
-            spec = smoke_bench_spec()
-            doc = run_serve_bench(
-                qps_points=args.qps if args.qps else spec["qps_points"],
-                n_requests=spec["n_requests"],
-                deadline=args.deadline,
-                seed=args.seed,
-                config=spec["config"],
-                warm_compare=not args.no_warm,
-                warm_requests=spec["warm_requests"],
-            )
-        else:
-            doc = run_serve_bench(
-                qps_points=args.qps,
-                n_requests=args.requests,
-                deadline=args.deadline,
-                seed=args.seed,
-                warm_compare=not args.no_warm,
-            )
+        doc = bench.run(
+            **bench.kwargs(args.smoke, {o: getattr(args, o) for o in options})
+        )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -38,7 +38,6 @@ from .wait import (
     calculate_wait,
     wait_schedule,
 )
-from .wait_table import CedarTabulatedPolicy, TabulatedController, WaitTable
 from .waitbatch import (
     BatchWaitSolver,
     CachedWaitOptimizer,
@@ -56,9 +55,6 @@ __all__ = [
     "HeteroQuery",
     "hetero_max_quality",
     "hetero_wait_schedules",
-    "WaitTable",
-    "TabulatedController",
-    "CedarTabulatedPolicy",
     "BatchWaitSolver",
     "CachedWaitOptimizer",
     "WaitCacheConfig",

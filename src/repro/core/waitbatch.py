@@ -453,8 +453,7 @@ class WaitTableCache:
 
         The cached answer comes from the bucket representative at the
         bucket deadline; the exact one from ``optimizer`` at the probe
-        parameters — so this measures the full quantization error, the
-        cache analogue of :meth:`repro.core.WaitTable.max_abs_error_vs`.
+        parameters — so this measures the full quantization error.
         """
         if not mu_range[0] < mu_range[1]:
             raise ConfigError(f"bad mu_range {mu_range}")

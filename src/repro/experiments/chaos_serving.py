@@ -18,8 +18,9 @@ produces warm-store drift resets while the stationary control does not.
 
 from __future__ import annotations
 
+from ..benches import BENCHES
 from ..rng import SeedLike
-from ..serve import pinned_config, run_chaos_serve_bench, smoke_chaos_spec
+from ..serve import pinned_config, run_chaos_serve_bench
 from .common import ExperimentReport, pick
 
 __all__ = ["run"]
@@ -28,15 +29,12 @@ __all__ = ["run"]
 def run(scale: str = "quick", seed: SeedLike = None) -> ExperimentReport:
     """Fault x drift sweep: Cedar + degradation vs the hedging baseline."""
     if scale == "quick":
-        spec = smoke_chaos_spec()
-        doc = run_chaos_serve_bench(
-            seed=int(seed) if seed is not None else 2608, **spec
-        )
+        spec = dict(BENCHES["chaos"].smoke)
     else:
-        doc = run_chaos_serve_bench(
-            seed=int(seed) if seed is not None else 2608,
-            config=pinned_config(grid_points=pick(scale, 48, 96)),
-        )
+        spec = {"config": pinned_config(grid_points=pick(scale, 48, 96))}
+    doc = run_chaos_serve_bench(
+        seed=int(seed) if seed is not None else 2608, **spec
+    )
     cells = doc["cells"]
     assert isinstance(cells, list)
     rows = []

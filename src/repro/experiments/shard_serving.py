@@ -16,8 +16,9 @@ single-shard no-kill supervised run is byte-identical to a plain
 
 from __future__ import annotations
 
+from ..benches import BENCHES
 from ..rng import SeedLike
-from ..serve import pinned_config, run_shard_serve_bench, smoke_shard_spec
+from ..serve import pinned_config, run_shard_serve_bench
 from .common import ExperimentReport, pick
 
 __all__ = ["run"]
@@ -26,15 +27,12 @@ __all__ = ["run"]
 def run(scale: str = "quick", seed: SeedLike = None) -> ExperimentReport:
     """Kill x load sweep: supervised shards under injected crashes."""
     if scale == "quick":
-        spec = smoke_shard_spec()
-        doc = run_shard_serve_bench(
-            seed=int(seed) if seed is not None else 2608, **spec
-        )
+        spec = dict(BENCHES["shards"].smoke)
     else:
-        doc = run_shard_serve_bench(
-            seed=int(seed) if seed is not None else 2608,
-            config=pinned_config(grid_points=pick(scale, 48, 96)),
-        )
+        spec = {"config": pinned_config(grid_points=pick(scale, 48, 96))}
+    doc = run_shard_serve_bench(
+        seed=int(seed) if seed is not None else 2608, **spec
+    )
     cells = doc["cells"]
     assert isinstance(cells, list)
     rows = []

@@ -37,8 +37,8 @@ from ..core import (
     IdealPolicy,
     MeanSubtractPolicy,
     ProportionalSplitPolicy,
+    WaitCacheConfig,
 )
-from ..core.wait_table import CedarTabulatedPolicy
 from ..errors import ConfigError, SimulationError
 from ..simulation import run_experiment
 from ..traces import make_workload
@@ -54,7 +54,7 @@ POLICY_FACTORIES = {
     "cedar-deep": lambda gp: CedarDeepPolicy(grid_points=gp),
     "cedar-empirical": lambda gp: CedarEmpiricalPolicy(grid_points=gp),
     "cedar-offline": lambda gp: CedarOfflinePolicy(grid_points=gp),
-    "cedar-tabulated": lambda gp: CedarTabulatedPolicy(grid_points=gp),
+    "cedar-tabulated": lambda gp: _tabulated_policy(gp),
     # default rates; a sweep's "faults" block overrides them (run_sweep
     # rebuilds the policy from the spec's fault model).
     "cedar-failure-aware": lambda gp: CedarFailureAwarePolicy(
@@ -66,6 +66,15 @@ POLICY_FACTORIES = {
     "ideal": lambda gp: IdealPolicy(grid_points=gp),
     "cedar-learned": lambda gp: _learned_policy(gp),
 }
+
+
+def _tabulated_policy(grid_points: int) -> CedarPolicy:
+    """§4.3.3 "simply precompute these wait-durations": Cedar with waits
+    served from the quantised cross-query cache instead of a sweep per
+    arrival, under its own name so it can race plain ``cedar``."""
+    policy = CedarPolicy(grid_points=grid_points, wait_cache=WaitCacheConfig())
+    policy.name = "cedar-tabulated"
+    return policy
 
 
 def _learned_policy(grid_points: int):

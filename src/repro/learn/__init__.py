@@ -22,7 +22,7 @@ the serving hot path with a trained artifact:
   provenance (seed, catalog hash, iterations).
 """
 
-from .bench import EVAL_SEED, run_learned_bench, smoke_learned_spec
+from .bench import EVAL_SEED, run_learned_bench
 from .catalog import DEFAULT_CATALOG, Scenario, catalog_hash, smoke_catalog
 from .features import FeatureConfig, StateFeaturizer, StateSpace
 from .policy import LearnedWaitPolicy
@@ -55,7 +55,6 @@ __all__ = [
     "load_table",
     "run_learned_bench",
     "smoke_catalog",
-    "smoke_learned_spec",
     "train_pinned",
     "train_table",
 ]

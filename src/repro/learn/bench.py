@@ -29,13 +29,17 @@ from typing import Any, Optional, Sequence
 
 from ..core.policies import CedarPolicy, WaitPolicy
 from ..core.waitbatch import WaitTableCache
-from ..obs.profile import PROFILER
-from ..serve.bench import pinned_workload
-from ..serve.loadgen import LoadGenerator
+from ..serve.bench import (
+    counted,
+    pinned_requests,
+    pinned_workload,
+    planner_work,
+    work_model_doc,
+)
 from ..serve.request import ServeConfig
 from ..serve.server import CedarServer
 from ..serve.warmstart import WarmStartStore
-from .catalog import DEFAULT_CATALOG, Scenario, catalog_hash, smoke_catalog
+from .catalog import DEFAULT_CATALOG, Scenario, catalog_hash
 from .policy import LearnedWaitPolicy
 from .table import LearnedWaitTable, load_table
 from .trainer import (
@@ -45,14 +49,11 @@ from .trainer import (
     train_table,
 )
 
-__all__ = ["run_learned_bench", "smoke_learned_spec", "EVAL_SEED"]
+__all__ = ["run_learned_bench", "EVAL_SEED"]
 
 #: held-out evaluation seed — deliberately distinct from
 #: ``TrainConfig.seed``, so every quality claim below is out-of-sample.
 EVAL_SEED = 0xE7A1
-
-#: one table read costs what one wait-cache hit costs: a dict/tuple probe.
-_LOOKUP_COST = 1
 
 
 def _counted_eval(
@@ -62,19 +63,9 @@ def _counted_eval(
     seed: int,
 ) -> tuple[dict[str, float], dict[str, int]]:
     """Evaluate under the profiler; return scores and per-site call counts."""
-    was_enabled = PROFILER.enabled
-    PROFILER.reset()
-    PROFILER.enable()
-    try:
-        scores = evaluate_policy(policy, catalog, queries_per_scenario, seed)
-    finally:
-        if not was_enabled:
-            PROFILER.disable()
-    calls = {
-        name: int(stat["calls"]) for name, stat in PROFILER.snapshot().items()
-    }
-    PROFILER.reset()
-    return scores, calls
+    return counted(
+        lambda: evaluate_policy(policy, catalog, queries_per_scenario, seed)
+    )
 
 
 def _arm_doc(
@@ -85,44 +76,21 @@ def _arm_doc(
     lookups: int,
     solved_rows: int,
 ) -> dict[str, Any]:
-    """Work-unit accounting for one eval pass (same model as the
-    wait-path bench: sweep row = ``grid_points`` cells, batched solved
-    row likewise, tail build = ``grid_points**2``, any O(1) probe = 1)."""
-    sweeps = calls.get("core.wait.sweep", 0) + calls.get(
-        "core.wait.calculate_wait", 0
-    )
-    tail_builds = calls.get("core.quality.tail_grid", 0)
-    work = (
-        sweeps * grid_points
-        + solved_rows * grid_points
-        + tail_builds * grid_points * grid_points
-        + lookups * _LOOKUP_COST
-    )
+    """Work-unit accounting for one eval pass (the wait-path bench's
+    model, :func:`~repro.serve.bench.planner_work`: one table read costs
+    what one wait-cache hit costs)."""
+    work = planner_work(calls, grid_points, solved_rows, probes=lookups)
     return {
+        **work,
         "scores": {name: scores[name] for name in sorted(scores)},
         "mean_quality": sum(scores.values()) / len(scores),
-        "sweeps": sweeps,
-        "tail_builds": tail_builds,
         "solved_rows": solved_rows,
         "lookups": lookups,
         "decisions": decisions,
-        "work_units": work,
-        "per_decision_work": work / decisions if decisions else 0.0,
+        "per_decision_work": (
+            work["work_units"] / decisions if decisions else 0.0
+        ),
     }
-
-
-def _serve_requests(
-    qps: float, n_requests: int, deadline: float, seed: int
-) -> tuple[Any, list[Any]]:
-    workload = pinned_workload()
-    requests = LoadGenerator(
-        workload=workload,
-        qps=qps,
-        n_requests=n_requests,
-        deadline=deadline,
-        seed=seed,
-    ).generate()
-    return workload.offline_tree(), requests
 
 
 def run_learned_bench(
@@ -147,15 +115,13 @@ def run_learned_bench(
     cedar_scores, cedar_calls = _counted_eval(
         cedar, scenarios, queries_per_scenario, eval_seed
     )
-    cedar_sweeps = cedar_calls.get("core.wait.sweep", 0) + cedar_calls.get(
-        "core.wait.calculate_wait", 0
-    )
     arms: dict[str, Any] = {
         "cedar": _arm_doc(
             cedar_scores,
             cedar_calls,
             grid_points,
-            decisions=cedar_sweeps,
+            # the exact planner decides by sweeping: one decision per sweep
+            decisions=planner_work(cedar_calls, grid_points, 0, 0)["sweeps"],
             lookups=0,
             solved_rows=0,
         )
@@ -252,8 +218,9 @@ def run_learned_bench(
         retrain_identical = retrained.to_json() == shipped.to_json()
 
     # -- serve arms ----------------------------------------------------
-    offline, requests = _serve_requests(
-        serve_qps, serve_requests, serve_deadline, serve_seed
+    offline = pinned_workload().offline_tree()
+    requests = pinned_requests(
+        serve_qps, serve_requests, serve_deadline, serve_seed, rate_amplitude=0.0
     )
     learned_cfg = ServeConfig(learned=True)
     learned_serve = CedarServer(offline_tree=offline, config=learned_cfg)
@@ -273,6 +240,7 @@ def run_learned_bench(
     disabled_identical = disabled_a.to_json() == disabled_b.to_json()
 
     # -- claims (recomputed, not trusted) ------------------------------
+    work_model = work_model_doc(grid_points)
     lognormal = [s for s in scenarios if s.kind == "lognormal"]
     others = [s for s in scenarios if s.kind != "lognormal"]
     learned_cold = arms["learned_cold"]
@@ -285,9 +253,9 @@ def run_learned_bench(
         # in-envelope: one probe per decision, no sweep, no tail build —
         # on a cold, never-warmed policy.
         "envelope_per_decision_work": envelope["per_decision_work"],
-        "cache_hit_cost": float(_LOOKUP_COST),
+        "cache_hit_cost": float(work_model["cache_hit"]),
         "envelope_at_most_cache_hit_cost": envelope["per_decision_work"]
-        <= float(_LOOKUP_COST),
+        <= float(work_model["cache_hit"]),
         "envelope_sweeps": envelope["sweeps"],
         "envelope_tail_builds": envelope["tail_builds"],
         "envelope_fallback_decisions": envelope["fallback_decisions"],
@@ -326,11 +294,8 @@ def run_learned_bench(
         "table_provenance": dict(shipped.provenance),
         "n_states": shipped.space.n_states,
         "work_model": {
-            "sweep_row": grid_points,
-            "solved_row": grid_points,
-            "tail_build": grid_points * grid_points,
-            "table_lookup": _LOOKUP_COST,
-            "cache_hit": _LOOKUP_COST,
+            **work_model,
+            "table_lookup": work_model["cache_hit"],
         },
         "serve": {
             "qps": serve_qps,
@@ -343,16 +308,4 @@ def run_learned_bench(
         },
         "arms": arms,
         "claims": claims,
-    }
-
-
-def smoke_learned_spec() -> dict[str, Any]:
-    """Shrunk run for the CI smoke job (finishes in a few seconds):
-    fewer held-out queries, two scenarios, no retrain (the CI job trains
-    its tiny table separately and ``cmp``'s two runs)."""
-    return {
-        "catalog": smoke_catalog(),
-        "queries_per_scenario": 6,
-        "check_retrain": False,
-        "serve_requests": 12,
     }

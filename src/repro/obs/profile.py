@@ -33,7 +33,6 @@ KNOWN_PROFILE_SITES = frozenset(
         "core.quality.tail_grid",
         "core.wait.calculate_wait",
         "core.wait.sweep",
-        "core.wait_table.lookup",
         "core.waitbatch.lookup",
         "core.waitbatch.solve",
         "estimation.streaming.estimate",

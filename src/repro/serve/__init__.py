@@ -60,12 +60,7 @@ from .admission import (
     AdmissionController,
 )
 from .checkpoint import CHECKPOINT_VERSION, WarmStateCheckpoint
-from .bench import (
-    pinned_config,
-    pinned_workload,
-    run_serve_bench,
-    smoke_bench_spec,
-)
+from .bench import pinned_config, pinned_workload, run_serve_bench
 from .chaos import FaultSchedule, FaultWindow, FaultyBackend
 from .chaosbench import (
     brownout_schedule,
@@ -74,7 +69,6 @@ from .chaosbench import (
     pinned_fault_schedule,
     pinned_hedging_config,
     run_chaos_serve_bench,
-    smoke_chaos_spec,
 )
 from .degrade import (
     MODE_BROWNOUT,
@@ -117,11 +111,7 @@ from .shard import (
     ShardServeReport,
     ShardSupervisor,
 )
-from .shardbench import (
-    pinned_shard_tenants,
-    run_shard_serve_bench,
-    smoke_shard_spec,
-)
+from .shardbench import pinned_shard_tenants, run_shard_serve_bench
 from .shardworker import ShardTask, run_incarnation, shard_worker_main
 from .slo import (
     SERVE_METRIC_NAMES,
@@ -129,7 +119,7 @@ from .slo import (
     SERVE_SPAN_ATTRS,
     SLOAccountant,
 )
-from .waitbench import run_waitpath_bench, smoke_waitpath_spec
+from .waitbench import run_waitpath_bench
 from .warmstart import CedarWarmPolicy, WarmStartStore
 
 __all__ = [
@@ -198,8 +188,4 @@ __all__ = [
     "run_waitpath_bench",
     "shard_worker_main",
     "simulate_query_hedged",
-    "smoke_bench_spec",
-    "smoke_chaos_spec",
-    "smoke_shard_spec",
-    "smoke_waitpath_spec",
 ]

@@ -8,28 +8,42 @@ cross-query warm-start gain at low load (where quality differences come
 from learning, not shedding).
 
 The pinned workload/config below are the repo's serving perf trajectory:
-``benchmarks/test_serve_bench.py`` regenerates this document and diffs it
-against the committed ``BENCH_serve.json``.
+``tests/test_benches.py`` regenerates this document and diffs it against
+the committed ``benchmarks/BENCH_serve.json`` (see the "Pinned benches"
+table in EXPERIMENTS.md). The pieces every pinned bench repeats — the
+request stream, the ``config``/``workload`` echo, profiler call counting,
+the planner work-unit model, the warm-store reset count — live here and
+are shared by the chaos, shard, wait-path and learned harnesses.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+import dataclasses
+from typing import Any, Callable, Mapping, Optional, Sequence, TypeVar
 
 from ..errors import ConfigError
+from ..obs.profile import PROFILER
 from ..traces import DiurnalWorkload
 from ..traces.base import LogNormalStageSpec
 from .loadgen import LoadGenerator
-from .request import ServeConfig
+from .request import QueryRequest, ServeConfig
 from .server import CedarServer, ServeReport
 
 __all__ = [
     "pinned_workload",
     "pinned_config",
+    "pinned_requests",
+    "config_doc",
+    "workload_doc",
+    "counted",
+    "planner_work",
+    "work_model_doc",
+    "warm_resets",
     "run_serve_bench",
-    "smoke_bench_spec",
     "DEFAULT_QPS_POINTS",
 ]
+
+_T = TypeVar("_T")
 
 #: offered-load ladder straddling the pinned config's saturation point
 #: (~ max_concurrent / mean service time ≈ 0.08 q/unit): comfortably
@@ -74,6 +88,113 @@ def pinned_config(grid_points: int = 96) -> ServeConfig:
     )
 
 
+def pinned_requests(
+    qps: float,
+    n_requests: int,
+    deadline: float,
+    seed: int,
+    rate_amplitude: float = 0.5,
+    **stream: Any,
+) -> list[QueryRequest]:
+    """The pinned workload's open-loop request stream (``stream`` passes
+    ``drift`` / ``tenants`` through to :class:`LoadGenerator`)."""
+    return LoadGenerator(
+        workload=pinned_workload(),
+        qps=qps,
+        n_requests=n_requests,
+        deadline=deadline,
+        seed=seed,
+        rate_amplitude=rate_amplitude,
+        **stream,
+    ).generate()
+
+
+def config_doc(cfg: ServeConfig) -> dict[str, object]:
+    """The ``"config"`` echo every pinned document carries."""
+    return {
+        "max_concurrent": cfg.max_concurrent,
+        "max_queue": cfg.max_queue,
+        "min_deadline_fraction": cfg.min_deadline_fraction,
+        "contention_coeff": cfg.contention_coeff,
+        "grid_points": cfg.grid_points,
+    }
+
+
+def workload_doc() -> dict[str, object]:
+    """The ``"workload"`` echo of :func:`pinned_workload`."""
+    workload = pinned_workload()
+    return {
+        "name": workload.name,
+        "base_mu": workload.base.mu,
+        "base_sigma": workload.base.sigma,
+        "k1": workload.base.fanout,
+        "upper_mu": workload.upper.mu,
+        "upper_sigma": workload.upper.sigma,
+        "k2": workload.upper.fanout,
+        "amplitude": workload.amplitude,
+        "period": workload.period,
+    }
+
+
+def counted(fn: Callable[[], _T]) -> tuple[_T, dict[str, int]]:
+    """Run ``fn`` under the profiler; return its result and per-site call
+    counts (wall clocks are never byte-stable; call counts are)."""
+    was_enabled = PROFILER.enabled
+    PROFILER.reset()
+    PROFILER.enable()
+    try:
+        result = fn()
+    finally:
+        if not was_enabled:
+            PROFILER.disable()
+    calls = {
+        name: int(stat["calls"]) for name, stat in PROFILER.snapshot().items()
+    }
+    PROFILER.reset()
+    return result, calls
+
+
+def planner_work(
+    calls: Mapping[str, int], grid_points: int, solved_rows: int, probes: int
+) -> dict[str, int]:
+    """Deterministic work-unit accounting for one counted run: a scalar
+    sweep row and a batched solved row each touch ``grid_points`` cells,
+    a tail-grid build ``grid_points**2``, any O(1) probe (wait-cache hit,
+    learned-table read) costs 1."""
+    sweeps = calls.get("core.wait.sweep", 0) + calls.get(
+        "core.wait.calculate_wait", 0
+    )
+    tail_builds = calls.get("core.quality.tail_grid", 0)
+    return {
+        "sweeps": sweeps,
+        "tail_builds": tail_builds,
+        "work_units": sweeps * grid_points
+        + solved_rows * grid_points
+        + tail_builds * grid_points * grid_points
+        + probes,
+    }
+
+
+def work_model_doc(grid_points: int) -> dict[str, int]:
+    """The ``"work_model"`` echo of :func:`planner_work`'s prices."""
+    return {
+        "sweep_row": grid_points,
+        "solved_row": grid_points,
+        "tail_build": grid_points * grid_points,
+        "cache_hit": 1,
+    }
+
+
+def warm_resets(report: ServeReport) -> int:
+    """Total warm-store drift resets across a report's workload keys."""
+    total = 0
+    for entry in report.warm.values():
+        resets = entry.get("resets", 0)
+        if isinstance(resets, int):
+            total += resets
+    return total
+
+
 def _point_doc(qps: float, report: ServeReport) -> dict[str, object]:
     return {
         "offered_qps": qps,
@@ -107,21 +228,14 @@ def run_serve_bench(
     if not points:
         raise ConfigError("need at least one QPS point")
     cfg = config if config is not None else pinned_config()
-    workload = pinned_workload()
-    offline = workload.offline_tree()
+    offline = pinned_workload().offline_tree()
 
     point_docs: list[dict[str, object]] = []
     for qps in points:
-        generator = LoadGenerator(
-            workload=workload,
-            qps=qps,
-            n_requests=n_requests,
-            deadline=deadline,
-            seed=seed,
-            rate_amplitude=rate_amplitude,
+        requests = pinned_requests(
+            qps, n_requests, deadline, seed, rate_amplitude
         )
-        server = CedarServer(offline_tree=offline, config=cfg)
-        report = server.run(generator.generate())
+        report = CedarServer(offline_tree=offline, config=cfg).run(requests)
         point_docs.append(_point_doc(qps, report))
 
     doc: dict[str, object] = {
@@ -129,57 +243,23 @@ def run_serve_bench(
         "seed": seed,
         "deadline": deadline,
         "rate_amplitude": rate_amplitude,
-        "workload": {
-            "name": workload.name,
-            "base_mu": workload.base.mu,
-            "base_sigma": workload.base.sigma,
-            "k1": workload.base.fanout,
-            "upper_mu": workload.upper.mu,
-            "upper_sigma": workload.upper.sigma,
-            "k2": workload.upper.fanout,
-            "amplitude": workload.amplitude,
-            "period": workload.period,
-        },
-        "config": {
-            "max_concurrent": cfg.max_concurrent,
-            "max_queue": cfg.max_queue,
-            "min_deadline_fraction": cfg.min_deadline_fraction,
-            "contention_coeff": cfg.contention_coeff,
-            "grid_points": cfg.grid_points,
-        },
+        "workload": workload_doc(),
+        "config": config_doc(cfg),
         "points": point_docs,
     }
 
     if warm_compare:
-        generator = LoadGenerator(
-            workload=workload,
-            qps=warm_qps,
-            n_requests=warm_requests,
-            deadline=deadline,
-            seed=seed,
-            rate_amplitude=rate_amplitude,
+        requests = pinned_requests(
+            warm_qps, warm_requests, deadline, seed, rate_amplitude
         )
-        requests = generator.generate()
-        warm_server = CedarServer(offline_tree=offline, config=cfg)
-        warm_report = warm_server.run(requests)
-        cold_cfg = ServeConfig(
-            max_concurrent=cfg.max_concurrent,
-            max_queue=cfg.max_queue,
-            min_deadline_fraction=cfg.min_deadline_fraction,
-            contention_coeff=cfg.contention_coeff,
-            service_time_guess=cfg.service_time_guess,
-            ewma_alpha=cfg.ewma_alpha,
-            warm_start=False,
-            grid_points=cfg.grid_points,
-            agg_sample=cfg.agg_sample,
+        warm_report = CedarServer(offline_tree=offline, config=cfg).run(
+            requests
         )
-        cold_server = CedarServer(offline_tree=offline, config=cold_cfg)
-        cold_report = cold_server.run(requests)
-        total_resets = 0
-        for entry in warm_report.warm.values():
-            resets = entry.get("resets", 0)
-            if isinstance(resets, int):
-                total_resets += resets
+        # the cold arm differs from the warm one in warm_start only
+        cold_cfg = dataclasses.replace(cfg, warm_start=False)
+        cold_report = CedarServer(offline_tree=offline, config=cold_cfg).run(
+            requests
+        )
         doc["warm_start"] = {
             "qps": warm_qps,
             "n_requests": warm_requests,
@@ -188,16 +268,6 @@ def run_serve_bench(
             "quality_gain": warm_report.mean_quality - cold_report.mean_quality,
             "warm_deadline_hit_rate": warm_report.deadline_hit_rate,
             "cold_deadline_hit_rate": cold_report.deadline_hit_rate,
-            "store_resets": total_resets,
+            "store_resets": warm_resets(warm_report),
         }
     return doc
-
-
-def smoke_bench_spec() -> dict[str, Any]:
-    """Shrunk sweep for the CI smoke job (finishes in a few seconds)."""
-    return {
-        "qps_points": DEFAULT_QPS_POINTS,
-        "n_requests": 16,
-        "warm_requests": 24,
-        "config": pinned_config(grid_points=48),
-    }

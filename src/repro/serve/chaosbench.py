@@ -23,16 +23,22 @@ Four questions, one pinned document (``benchmarks/BENCH_chaos_serve.json``):
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.policies import CedarFailureAwarePolicy
 from ..errors import ConfigError
 from ..faults import FaultDomainMap, FaultModel
-from .bench import pinned_config, pinned_workload
+from .bench import (
+    config_doc,
+    pinned_config,
+    pinned_requests,
+    pinned_workload,
+    warm_resets,
+)
 from .chaos import FaultSchedule, FaultWindow
 from .degrade import MODE_CIRCUIT_OPEN, SHED_CIRCUIT_OPEN, DegradeConfig
 from .hedging import HedgingConfig, HedgingPolicy
-from .loadgen import DriftSpec, LoadGenerator
+from .loadgen import DriftSpec
 from .request import ServeConfig
 from .server import CedarServer, ServeReport
 
@@ -44,7 +50,6 @@ __all__ = [
     "pinned_drift",
     "brownout_schedule",
     "run_chaos_serve_bench",
-    "smoke_chaos_spec",
 ]
 
 #: fault-rate ladder: none (the bit-identity arm), mild, storm-grade.
@@ -167,15 +172,6 @@ def _arm_doc(report: ServeReport) -> dict[str, object]:
     }
 
 
-def _warm_resets(report: ServeReport) -> int:
-    total = 0
-    for entry in report.warm.values():
-        resets = entry.get("resets", 0)
-        if isinstance(resets, int):
-            total += resets
-    return total
-
-
 def run_chaos_serve_bench(
     fault_rates: Optional[Sequence[float]] = None,
     n_requests: int = 40,
@@ -193,22 +189,10 @@ def run_chaos_serve_bench(
     if not rates:
         raise ConfigError("need at least one fault rate")
     cfg = config if config is not None else pinned_config()
-    workload = pinned_workload()
-    offline = workload.offline_tree()
+    offline = pinned_workload().offline_tree()
     degrade = pinned_degrade_config()
     hedging = pinned_hedging_config()
     drift = pinned_drift()
-
-    def generate(use_drift: bool) -> list[Any]:
-        return LoadGenerator(
-            workload=workload,
-            qps=qps,
-            n_requests=n_requests,
-            deadline=deadline,
-            seed=seed,
-            rate_amplitude=0.5,
-            drift=drift if use_drift else None,
-        ).generate()
 
     def cedar_policy(schedule: FaultSchedule) -> CedarFailureAwarePolicy:
         return CedarFailureAwarePolicy.from_fault_model(
@@ -220,7 +204,13 @@ def run_chaos_serve_bench(
     for rate in rates:
         schedule = pinned_fault_schedule(rate)
         for use_drift in (False, True):
-            requests = generate(use_drift)
+            requests = pinned_requests(
+                qps,
+                n_requests,
+                deadline,
+                seed,
+                drift=drift if use_drift else None,
+            )
             cedar_cfg = dataclasses.replace(
                 cfg, faults=schedule, degrade=degrade
             )
@@ -261,14 +251,9 @@ def run_chaos_serve_bench(
 
     # ---- dedicated brownout scenario ---------------------------------
     storm = brownout_schedule()
-    brown_requests = LoadGenerator(
-        workload=workload,
-        qps=brownout_qps,
-        n_requests=brownout_requests,
-        deadline=deadline,
-        seed=seed,
-        rate_amplitude=0.5,
-    ).generate()
+    brown_requests = pinned_requests(
+        brownout_qps, brownout_requests, deadline, seed
+    )
     brown_cfg = dataclasses.replace(cfg, faults=storm, degrade=degrade)
     brown_report = CedarServer(
         offline_tree=offline,
@@ -309,17 +294,14 @@ def run_chaos_serve_bench(
     warm_cfg = dataclasses.replace(cfg, warm_min_samples=3)
 
     def warm_run(use_drift: bool) -> ServeReport:
-        generator = LoadGenerator(
-            workload=workload,
-            qps=drift_qps,
-            n_requests=drift_requests,
-            deadline=deadline,
-            seed=seed,
-            rate_amplitude=0.5,
+        requests = pinned_requests(
+            drift_qps,
+            drift_requests,
+            deadline,
+            seed,
             drift=drift if use_drift else None,
         )
-        server = CedarServer(offline_tree=offline, config=warm_cfg)
-        return server.run(generator.generate())
+        return CedarServer(offline_tree=offline, config=warm_cfg).run(requests)
 
     drifted = warm_run(True)
     undrifted = warm_run(False)
@@ -331,8 +313,8 @@ def run_chaos_serve_bench(
             "mu_shift": drift.mu_shift,
             "sigma_factor": drift.sigma_factor,
         },
-        "resets_with_drift": _warm_resets(drifted),
-        "resets_without_drift": _warm_resets(undrifted),
+        "resets_with_drift": warm_resets(drifted),
+        "resets_without_drift": warm_resets(undrifted),
         "drifted_mean_quality": drifted.mean_quality,
         "undrifted_mean_quality": undrifted.mean_quality,
     }
@@ -344,29 +326,11 @@ def run_chaos_serve_bench(
         "qps": qps,
         "n_requests": n_requests,
         "fault_rates": list(rates),
-        "config": {
-            "max_concurrent": cfg.max_concurrent,
-            "max_queue": cfg.max_queue,
-            "min_deadline_fraction": cfg.min_deadline_fraction,
-            "contention_coeff": cfg.contention_coeff,
-            "grid_points": cfg.grid_points,
-        },
+        "config": config_doc(cfg),
         "degrade": dataclasses.asdict(degrade),
         "hedging": dataclasses.asdict(hedging),
         "cells": cells,
         "zero_rate_bit_identical": zero_rate_bit_identical,
         "brownout": brownout_doc,
         "warm_drift": warm_drift_doc,
-    }
-
-
-def smoke_chaos_spec() -> dict[str, Any]:
-    """Shrunk sweep for the CI smoke job (finishes in a few seconds)."""
-    return {
-        "fault_rates": (0.0, 0.15),
-        "n_requests": 16,
-        "brownout_requests": 40,
-        "drift_requests": 32,
-        "drift_qps": 0.02,
-        "config": pinned_config(grid_points=48),
     }

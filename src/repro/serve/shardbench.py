@@ -26,12 +26,17 @@ regenerate and deterministic even for hard kills (see
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..errors import ConfigError
-from .bench import pinned_config, pinned_workload
-from .loadgen import LoadGenerator
+from .bench import (
+    config_doc,
+    pinned_config,
+    pinned_requests,
+    pinned_workload,
+)
 from .request import QueryRequest, ServeConfig
 from .router import TenantBudget
 from .server import CedarServer
@@ -48,7 +53,6 @@ __all__ = [
     "KILL_ARMS",
     "pinned_shard_tenants",
     "run_shard_serve_bench",
-    "smoke_shard_spec",
 ]
 
 #: offered-load ladder for the sharded sweep: light and near-saturated
@@ -148,32 +152,22 @@ def run_shard_serve_bench(
             f"n_shards={n_shards} is too small"
         )
     cfg = config if config is not None else pinned_config()
-    workload = pinned_workload()
-    offline = workload.offline_tree()
+    offline = pinned_workload().offline_tree()
     assignments = pinned_shard_tenants()
 
     def generate(qps: float, n: int) -> list[QueryRequest]:
-        return LoadGenerator(
-            workload=workload,
-            qps=qps,
-            n_requests=n,
-            deadline=deadline,
-            seed=seed,
-            rate_amplitude=0.5,
-            tenants=_TENANTS,
-        ).generate()
+        return pinned_requests(qps, n, deadline, seed, tenants=_TENANTS)
 
-    def shard_config(kills: ShardKillSchedule) -> ShardConfig:
-        return ShardConfig(
-            n_shards=n_shards,
-            serve=cfg,
-            kills=kills,
-            checkpoint_every=checkpoint_every,
-            heartbeat_every=heartbeat_every,
-            restart_delay=restart_delay,
-            inline=True,
-            assignments=assignments,
-        )
+    # every supervised run below is this topology with one field changed
+    topology = ShardConfig(
+        n_shards=n_shards,
+        serve=cfg,
+        checkpoint_every=checkpoint_every,
+        heartbeat_every=heartbeat_every,
+        restart_delay=restart_delay,
+        inline=True,
+        assignments=assignments,
+    )
 
     cells: list[dict[str, object]] = []
     max_degradation = 0.0
@@ -190,9 +184,9 @@ def run_shard_serve_bench(
                 kills = ShardKillSchedule.of(
                     ShardKill(_KILLED_SHARD, kill_at, hard=arm == "hard")
                 )
-            report = ShardSupervisor(offline, shard_config(kills)).run(
-                requests
-            )
+            report = ShardSupervisor(
+                offline, dataclasses.replace(topology, kills=kills)
+            ).run(requests)
             lost = report.terminal["lost"]
             zero_lost = zero_lost and lost == 0
             if arm == "none":
@@ -223,14 +217,9 @@ def run_shard_serve_bench(
 
     # ---- single-shard, no-kill byte-identity -------------------------
     solo_requests = generate(points[0], max(8, n_requests // 3))
-    solo_config = ShardConfig(
-        n_shards=1,
-        serve=cfg,
-        checkpoint_every=checkpoint_every,
-        heartbeat_every=heartbeat_every,
-        inline=True,
-    )
-    solo = ShardSupervisor(offline, solo_config).run(solo_requests)
+    solo = ShardSupervisor(
+        offline, dataclasses.replace(topology, n_shards=1, assignments=None)
+    ).run(solo_requests)
     plain = CedarServer(offline_tree=offline, config=cfg).run(solo_requests)
     supervised_doc = solo.shard_reports["0"]
     bit_identical = json.dumps(supervised_doc, sort_keys=True) == json.dumps(
@@ -239,26 +228,12 @@ def run_shard_serve_bench(
 
     # ---- bulkhead budgets: a noisy tenant cannot starve the others ---
     noisy_requests = generate(bulkhead_qps, bulkhead_requests)
-    capped = ShardConfig(
-        n_shards=n_shards,
-        serve=cfg,
-        checkpoint_every=checkpoint_every,
-        heartbeat_every=heartbeat_every,
-        inline=True,
-        assignments=assignments,
-        budgets={_TENANTS[_KILLED_SHARD]: TenantBudget(qps=0.005, burst=2.0)},
-    )
-    uncapped = ShardConfig(
-        n_shards=n_shards,
-        serve=cfg,
-        checkpoint_every=checkpoint_every,
-        heartbeat_every=heartbeat_every,
-        inline=True,
-        assignments=assignments,
+    noisy_tenant = _TENANTS[_KILLED_SHARD]
+    capped = dataclasses.replace(
+        topology, budgets={noisy_tenant: TenantBudget(qps=0.005, burst=2.0)}
     )
     capped_report = ShardSupervisor(offline, capped).run(noisy_requests)
-    uncapped_report = ShardSupervisor(offline, uncapped).run(noisy_requests)
-    noisy_tenant = _TENANTS[_KILLED_SHARD]
+    uncapped_report = ShardSupervisor(offline, topology).run(noisy_requests)
     bulkhead_doc: dict[str, object] = {
         "qps": bulkhead_qps,
         "n_requests": bulkhead_requests,
@@ -290,13 +265,7 @@ def run_shard_serve_bench(
             "heartbeat_every": heartbeat_every,
             "restart_delay": restart_delay,
         },
-        "config": {
-            "max_concurrent": cfg.max_concurrent,
-            "max_queue": cfg.max_queue,
-            "min_deadline_fraction": cfg.min_deadline_fraction,
-            "contention_coeff": cfg.contention_coeff,
-            "grid_points": cfg.grid_points,
-        },
+        "config": config_doc(cfg),
         "cells": cells,
         "claims": {
             "zero_lost": zero_lost,
@@ -305,14 +274,4 @@ def run_shard_serve_bench(
             "single_shard_bit_identical": bit_identical,
         },
         "bulkhead": bulkhead_doc,
-    }
-
-
-def smoke_shard_spec() -> dict[str, Any]:
-    """Shrunk sweep for the CI smoke job (finishes in a few seconds)."""
-    return {
-        "qps_points": (0.04,),
-        "n_requests": 18,
-        "bulkhead_requests": 18,
-        "config": pinned_config(grid_points=48),
     }

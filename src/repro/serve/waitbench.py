@@ -4,7 +4,8 @@ Measures what the batched wait solver and the cross-query
 :class:`~repro.core.waitbatch.WaitTableCache` buy the serving loop, in a
 **deterministic work-unit model** rather than wall clocks (the committed
 ``benchmarks/BENCH_waitpath.json`` must be byte-identical across reruns,
-which wall time never is). Costs are counted in grid-cell operations:
+which wall time never is). Costs are counted in grid-cell operations
+(:func:`~repro.serve.bench.planner_work`):
 
 * one scalar sweep row (``core.wait.sweep``) touches ``grid_points``
   cells;
@@ -32,13 +33,20 @@ from typing import Any, Optional
 
 from ..core.waitbatch import WaitCacheConfig, WaitTableCache
 from ..core.wait import WaitOptimizer
-from ..obs.profile import PROFILER
-from .bench import pinned_config, pinned_workload
-from .loadgen import LoadGenerator
-from .request import QueryRequest, ServeConfig
+from .bench import (
+    config_doc,
+    counted,
+    pinned_config,
+    pinned_requests,
+    pinned_workload,
+    planner_work,
+    work_model_doc,
+    workload_doc,
+)
+from .request import ServeConfig
 from .server import CedarServer, ServeReport
 
-__all__ = ["run_waitpath_bench", "smoke_waitpath_spec"]
+__all__ = ["run_waitpath_bench"]
 
 #: probe box for the quantization-error bound: the pinned workload's
 #: bottom-stage parameter range (mu 3.0 +- jitter 0.25 +- diurnal swing
@@ -47,46 +55,18 @@ _ERROR_MU_RANGE = (2.0, 4.0)
 _ERROR_SIGMA_RANGE = (0.4, 1.2)
 
 
-def _counted_run(
-    server: CedarServer, requests: list[QueryRequest]
-) -> tuple[ServeReport, dict[str, int]]:
-    """Run under the profiler; return the report and per-site call counts."""
-    was_enabled = PROFILER.enabled
-    PROFILER.reset()
-    PROFILER.enable()
-    try:
-        report = server.run(requests)
-    finally:
-        if not was_enabled:
-            PROFILER.disable()
-    calls = {
-        name: int(stat["calls"]) for name, stat in PROFILER.snapshot().items()
-    }
-    PROFILER.reset()
-    return report, calls
-
-
 def _arm_doc(
     report: ServeReport, calls: dict[str, int], grid_points: int
 ) -> dict[str, Any]:
     """Work-unit accounting for one run (see the module docstring)."""
-    sweeps = calls.get("core.wait.sweep", 0) + calls.get(
-        "core.wait.calculate_wait", 0
-    )
-    tail_builds = calls.get("core.quality.tail_grid", 0)
     stats = report.wait_cache
-    hits = stats.get("hits", 0)
-    solved_rows = stats.get("solved_rows", 0)
-    work = (
-        sweeps * grid_points
-        + solved_rows * grid_points
-        + tail_builds * grid_points * grid_points
-        + hits
-    )
     doc: dict[str, Any] = {
-        "work_units": work,
-        "sweeps": sweeps,
-        "tail_builds": tail_builds,
+        **planner_work(
+            calls,
+            grid_points,
+            solved_rows=stats.get("solved_rows", 0),
+            probes=stats.get("hits", 0),
+        ),
         "admitted": report.admitted,
         "mean_quality": report.mean_quality,
         "deadline_hit_rate": report.deadline_hit_rate,
@@ -108,28 +88,23 @@ def run_waitpath_bench(
     """Run the four-arm planner-cost comparison; JSON-ready, byte-stable."""
     cfg = config if config is not None else pinned_config()
     cache_cfg = cache_config if cache_config is not None else WaitCacheConfig()
-    workload = pinned_workload()
-    offline = workload.offline_tree()
+    offline = pinned_workload().offline_tree()
     grid_points = cfg.grid_points
-    requests = LoadGenerator(
-        workload=workload,
-        qps=qps,
-        n_requests=n_requests,
-        deadline=deadline,
-        seed=seed,
-        rate_amplitude=rate_amplitude,
-    ).generate()
+    requests = pinned_requests(qps, n_requests, deadline, seed, rate_amplitude)
+
+    def counted_run(server: CedarServer) -> tuple[ServeReport, dict[str, int]]:
+        return counted(lambda: server.run(requests))
 
     # -- baseline: exact per-arrival sweeps ----------------------------
     baseline = CedarServer(offline_tree=offline, config=cfg)
-    base_cold, base_cold_calls = _counted_run(baseline, requests)
-    base_warm, base_warm_calls = _counted_run(baseline, requests)
+    base_cold, base_cold_calls = counted_run(baseline)
+    base_warm, base_warm_calls = counted_run(baseline)
 
     # -- cached: shared quantized wait-table cache ---------------------
     cached_cfg = dataclasses.replace(cfg, wait_cache=cache_cfg)
     cached = CedarServer(offline_tree=offline, config=cached_cfg)
-    cache_cold, cache_cold_calls = _counted_run(cached, requests)
-    cache_warm, cache_warm_calls = _counted_run(cached, requests)
+    cache_cold, cache_cold_calls = counted_run(cached)
+    cache_warm, cache_warm_calls = counted_run(cached)
 
     arms = {
         "baseline_cold": _arm_doc(base_cold, base_cold_calls, grid_points),
@@ -140,7 +115,7 @@ def run_waitpath_bench(
 
     # -- equivalence claims (recomputed, not trusted) ------------------
     rerun = CedarServer(offline_tree=offline, config=cached_cfg)
-    rerun_cold, _ = _counted_run(rerun, requests)
+    rerun_cold, _ = counted_run(rerun)
     rerun_identical = _strip_cache(rerun_cold) == _strip_cache(
         cache_cold
     ) and rerun_cold.wait_cache == cache_cold.wait_cache
@@ -149,7 +124,7 @@ def run_waitpath_bench(
         cfg, wait_cache=dataclasses.replace(cache_cfg, prewarm=False)
     )
     prewarm_off = CedarServer(offline_tree=offline, config=prewarm_off_cfg)
-    prewarm_off_cold, _ = _counted_run(prewarm_off, requests)
+    prewarm_off_cold, _ = counted_run(prewarm_off)
     prewarm_identical = _strip_cache(prewarm_off_cold) == _strip_cache(
         cache_cold
     )
@@ -197,36 +172,15 @@ def run_waitpath_bench(
         "n_requests": n_requests,
         "deadline": deadline,
         "rate_amplitude": rate_amplitude,
-        "workload": {
-            "name": workload.name,
-            "base_mu": workload.base.mu,
-            "base_sigma": workload.base.sigma,
-            "k1": workload.base.fanout,
-            "upper_mu": workload.upper.mu,
-            "upper_sigma": workload.upper.sigma,
-            "k2": workload.upper.fanout,
-            "amplitude": workload.amplitude,
-            "period": workload.period,
-        },
-        "config": {
-            "max_concurrent": cfg.max_concurrent,
-            "max_queue": cfg.max_queue,
-            "min_deadline_fraction": cfg.min_deadline_fraction,
-            "contention_coeff": cfg.contention_coeff,
-            "grid_points": grid_points,
-        },
+        "workload": workload_doc(),
+        "config": config_doc(cfg),
         "cache_config": {
             "mu_step": cache_cfg.mu_step,
             "sigma_step": cache_cfg.sigma_step,
             "deadline_rel_step": cache_cfg.deadline_rel_step,
             "prewarm": cache_cfg.prewarm,
         },
-        "work_model": {
-            "sweep_row": grid_points,
-            "solved_row": grid_points,
-            "tail_build": grid_points * grid_points,
-            "cache_hit": 1,
-        },
+        "work_model": work_model_doc(grid_points),
         "arms": arms,
         "claims": claims,
     }
@@ -236,12 +190,3 @@ def _strip_cache(report: ServeReport) -> dict[str, object]:
     doc = report.to_dict(include_outcomes=True)
     doc.pop("wait_cache", None)
     return doc
-
-
-def smoke_waitpath_spec() -> dict[str, Any]:
-    """Shrunk run for the CI smoke job (finishes in a few seconds)."""
-    return {
-        "qps": 0.08,
-        "n_requests": 16,
-        "config": pinned_config(grid_points=48),
-    }

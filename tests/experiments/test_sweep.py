@@ -73,6 +73,13 @@ class TestRunSweep:
         report = run_sweep(dict(SPEC, policies=["cedar"]))
         assert report.headers == ("deadline", "cedar")
 
+    def test_cedar_tabulated_close_to_exact_cedar(self):
+        """§4.3.3: waits served from the quantised cache cost little
+        quality against a sweep per arrival."""
+        report = run_sweep(dict(SPEC, policies=["cedar", "cedar-tabulated"]))
+        for _, exact, tabulated, _ in report.rows:
+            assert tabulated == pytest.approx(exact, abs=0.05)
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(SPEC))

@@ -104,7 +104,7 @@ def test_cached_rerun_on_fresh_server_is_byte_identical(stream):
 def test_cached_quality_matches_exact_at_pinned_stream(stream):
     """The quantized waits land on the same outcomes as the exact ones
     at the pinned stream (regression anchor; the bounded-error claim is
-    in benchmarks/test_waitpath_bench.py)."""
+    ``cache_equivalence`` in tests/test_benches.py)."""
     offline, requests = stream
     cfg = pinned_config(grid_points=48)
     exact = _run(offline, requests, cfg)

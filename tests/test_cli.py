@@ -1,8 +1,13 @@
 """CLI entry point."""
 
+import pathlib
+
 import pytest
 
+from repro.benches import BENCHES
 from repro.cli import main
+
+BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 class TestCli:
@@ -258,3 +263,46 @@ class TestServeBenchCommand:
     def test_bad_qps(self, capsys):
         assert main(["serve-bench", "--smoke", "--qps", "-1"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(BENCHES))
+    def test_every_registry_entry(self, name, tmp_path, capsys):
+        import json
+
+        bench = BENCHES[name]
+        out_path = tmp_path / "doc.json"
+        argv = ["serve-bench", "--smoke", "--out", str(out_path)]
+        if name != "serve":
+            argv.append(f"--{name}")
+        if "requests" in bench.options:
+            argv += ["--requests", "8"]
+        assert main(argv) == 0
+        assert "wrote serve bench" in capsys.readouterr().out
+        text = out_path.read_text()
+        committed = json.loads((BENCH_DIR / bench.file).read_text())
+        assert json.loads(text)["bench"] == committed["bench"]
+        if "requests" in bench.options:
+            # --smoke sets the sizes, an explicit option still wins
+            assert '"n_requests": 8' in text
+            assert '"n_requests": 16' not in text
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--chaos", "--qps", "0.1"],
+                "error: serve-bench --chaos does not take --qps",
+            ),
+            (
+                ["--learned", "--smoke", "--no-warm"],
+                "error: serve-bench --learned does not take --no-warm",
+            ),
+            (
+                ["--shards", "--waitpath"],
+                "error: pass at most one of --chaos, --shards, --waitpath, "
+                "--learned",
+            ),
+        ],
+    )
+    def test_rejects_what_the_bench_does_not_take(self, argv, message, capsys):
+        assert main(["serve-bench", *argv]) == 1
+        assert capsys.readouterr().err.strip() == message
