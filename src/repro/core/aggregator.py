@@ -87,13 +87,6 @@ class AdaptiveController(AggregatorController):
     reoptimize_every:
         Re-plan after every ``r``-th arrival (1 = every arrival, the
         paper's default; larger values are an ablation knob).
-    estimate_k:
-        Sample-population size the order-statistic mapping should assume
-        (defaults to ``k``). A failure-aware policy deflates this to the
-        number of inputs *expected to survive*: the ``i``-th arrival is
-        then mapped to quantile ``i`` of ``estimate_k`` live draws instead
-        of ``k`` total, removing the slow bias crashes would otherwise
-        induce. Shipping early still requires all ``k`` arrivals.
     prior:
         Optional warm-start distribution (e.g. from a
         :class:`~repro.serve.WarmStartStore`). When given, the initial
@@ -111,7 +104,6 @@ class AdaptiveController(AggregatorController):
         deadline: float,
         min_samples: int = 2,
         reoptimize_every: int = 1,
-        estimate_k: Optional[int] = None,
         prior: Optional[Distribution] = None,
     ):
         if deadline <= 0.0:
@@ -125,12 +117,7 @@ class AdaptiveController(AggregatorController):
             raise ConfigError(
                 f"reoptimize_every must be >= 1, got {reoptimize_every}"
             )
-        est_k = int(k if estimate_k is None else estimate_k)
-        if not 1 <= est_k <= k:
-            raise ConfigError(
-                f"estimate_k must be in [1, k={k}], got {est_k}"
-            )
-        self._stream = StreamingEstimator(estimator, est_k)
+        self._stream = StreamingEstimator(estimator, int(k))
         self._optimizer = optimizer
         self._k = int(k)
         self._received = 0
@@ -165,17 +152,10 @@ class AdaptiveController(AggregatorController):
     # ------------------------------------------------------------------
     def on_arrival(self, t: float) -> None:
         self._received += 1
-        # with a deflated estimate_k, arrivals beyond it (more inputs
-        # survived than planned) carry no usable order-statistic rank —
-        # keep the last estimate, keep counting.
-        fed = not self._stream.complete
-        if fed:
-            self._stream.observe(t)
+        self._stream.observe(t)
         if self._received == self._k:
             # all outputs received: SetTimer(0) — ship immediately.
             self._stop = t
-            return
-        if not fed:
             return
         n = self._stream.n_observed
         if n < self._min_samples:

@@ -367,13 +367,9 @@ class CedarFailureAwarePolicy(CedarPolicy):
     arriving) leaves *already* estimates the defective arrival
     distribution — dead workers push the fitted tail out exactly as a
     :class:`~repro.distributions.Thinned` model would. Correcting again
-    (``estimate_k`` deflation, thinning the estimate, posterior futility
+    (deflating the assumed fan-in, thinning the estimate, posterior futility
     caps) double-counts the missing mass and measurably loses quality
     under injected crashes; see ``benchmarks/test_robustness_faults.py``.
-    The explicit knobs remain available on
-    :class:`~repro.core.aggregator.AdaptiveController` (``estimate_k``)
-    and :class:`~repro.core.wait.FailureAwareWaitOptimizer`
-    (``input_survival``) for experimentation.
 
     With all failure rates zero this is exactly :class:`CedarPolicy`.
     """

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..distributions import Distribution, Shifted, Thinned
+from ..distributions import Distribution, Shifted
 from ..errors import ConfigError
 from ..obs.profile import PROFILER
 from .config import Stage, TreeSpec
@@ -156,26 +156,15 @@ class WaitOptimizer:
 class FailureAwareWaitOptimizer(WaitOptimizer):
     """Wait optimizer that folds known loss probabilities into Eqn 3.
 
-    Two independent discounts:
+    On infrastructure that loses this aggregator's *own* shipment with
+    probability ``1 - shipment_survival`` (aggregator crash or dropped
+    upstream message), the expected payoff of waiting for one more output
+    is discounted by the survival probability, while the quality already
+    held remains fully exposed to the deadline — Equation 3 is scaled,
+    Equation 4 is not.
 
-    * ``shipment_survival`` — on infrastructure that loses this
-      aggregator's *own* shipment with probability ``1 -
-      shipment_survival`` (aggregator crash or dropped upstream message),
-      the expected payoff of waiting for one more output is discounted by
-      the survival probability, while the quality already held remains
-      fully exposed to the deadline — Equation 3 is scaled, Equation 4 is
-      not.
-    * ``input_survival`` — each of the ``k1`` *inputs* independently
-      never arrives with probability ``1 - input_survival`` (leaf worker
-      crash). The bottom distribution is replaced by its
-      :class:`~repro.distributions.Thinned` (defective) version, whose CDF
-      saturates at ``input_survival``: the expected number of arrivals by
-      ``t`` is ``k1 * input_survival * F(t)`` — the continuous form of
-      deflating the fan-out — and the "all ``k1`` arrived" term never
-      pays, so the sweep stops planning to wait for the dead.
-
-    Both optima shift toward shorter waits as the infrastructure
-    degrades; with both survivals at 1 this is exactly the plain
+    The optimum shifts toward shorter waits as the infrastructure
+    degrades; with ``shipment_survival`` at 1 this is exactly the plain
     :class:`WaitOptimizer`.
     """
 
@@ -185,21 +174,15 @@ class FailureAwareWaitOptimizer(WaitOptimizer):
         deadline: float,
         grid_points: int = DEFAULT_GRID_POINTS,
         shipment_survival: float = 1.0,
-        input_survival: float = 1.0,
     ):
-        for label, p in (
-            ("shipment_survival", shipment_survival),
-            ("input_survival", input_survival),
-        ):
-            if not 0.0 < p <= 1.0:
-                raise ConfigError(f"{label} must be in (0, 1], got {p}")
+        if not 0.0 < shipment_survival <= 1.0:
+            raise ConfigError(
+                f"shipment_survival must be in (0, 1], got {shipment_survival}"
+            )
         super().__init__(tail_stages, deadline, grid_points)
         self.shipment_survival = float(shipment_survival)
-        self.input_survival = float(input_survival)
 
     def curve(self, x1: Distribution, k1: int) -> WaitCurve:
-        if self.input_survival < 1.0:
-            x1 = Thinned(x1, self.input_survival)
         tok = PROFILER.start()
         curve = sweep_wait(
             x1, k1, self.tail, gain_discount=self.shipment_survival

@@ -24,7 +24,7 @@ reports.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from ..core.aggregator import AdaptiveController, AggregatorController
 from ..core.policies import QueryContext
@@ -68,6 +68,29 @@ class LearnedPolicyStats:
     def count_fallback(self, reason: str) -> None:
         self.fallbacks += 1
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
+
+    def counters(self) -> dict[str, int]:
+        """Flat integer view, fallback causes as ``reason:<cause>`` — the
+        shape a serve run diffs against its run-start snapshot."""
+        flat = {
+            name: getattr(self, name)
+            for name in ("decisions", "lookups", "fallbacks", "fallback_decisions")
+        }
+        for reason, count in self.reasons.items():
+            flat[f"reason:{reason}"] = count
+        return flat
+
+    @classmethod
+    def from_counters(cls, counters: Mapping[str, int]) -> "LearnedPolicyStats":
+        """Inverse of :meth:`counters`; causes with a zero count (a
+        per-run delta has them) are dropped."""
+        stats = cls()
+        for key, count in counters.items():
+            if not key.startswith("reason:"):
+                setattr(stats, key, count)
+            elif count:
+                stats.reasons[key.split(":", 1)[1]] = count
+        return stats
 
     def as_dict(self) -> dict[str, object]:
         return {

@@ -29,7 +29,7 @@ from ..faults.model import FaultModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.span import SpanTracer
 from .request import QueryRequest
-from .server import BackendResult, SimBackend
+from .server import BackendResult, QueryBackend, SimBackend
 
 __all__ = ["FaultWindow", "FaultSchedule", "FaultyBackend"]
 
@@ -121,7 +121,7 @@ class FaultSchedule:
         }
 
 
-class FaultyBackend:
+class FaultyBackend(QueryBackend):
     """Runs each admitted query under the scheduled fault model.
 
     The server tells the backend each dispatch's virtual time and request
@@ -170,10 +170,4 @@ class FaultyBackend:
             metrics=metrics,
             span_attrs=span_attrs,
         )
-        return BackendResult(
-            quality=faulty.quality,
-            included_outputs=faulty.included_outputs,
-            total_outputs=faulty.total_outputs,
-            elapsed=faulty.elapsed,
-            degraded=faulty.degraded,
-        )
+        return BackendResult.from_result(faulty)

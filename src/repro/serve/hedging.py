@@ -40,7 +40,7 @@ from ..simulation.query import _walk_query
 from ..simulation.reissue import _ReissueDriver
 from .chaos import FaultSchedule
 from .request import QueryRequest
-from .server import BackendResult
+from .server import BackendResult, QueryBackend
 
 __all__ = [
     "HedgingConfig",
@@ -136,7 +136,7 @@ def simulate_query_hedged(
     )
 
 
-class HedgingPolicy:
+class HedgingPolicy(QueryBackend):
     """Serve backend running every query with static hedged requests.
 
     Structured as a backend (not a :class:`~repro.core.WaitPolicy`)
@@ -192,12 +192,4 @@ class HedgingPolicy:
             budget=left,
         )
         self._tokens[self._tenant] = left - result.reissued
-        return BackendResult(
-            quality=result.quality,
-            included_outputs=result.included_outputs,
-            total_outputs=result.total_outputs,
-            elapsed=result.elapsed,
-            degraded=result.degraded,
-            reissued=result.reissued,
-            hedge_wins=result.hedge_wins,
-        )
+        return BackendResult.from_result(result)

@@ -83,6 +83,20 @@ class QueryOutcome:
     #: hedged duplicates that beat their original.
     hedge_wins: int = 0
 
+    @classmethod
+    def shed(cls, request: QueryRequest, reason: str) -> "QueryOutcome":
+        """The terminal outcome of a request refused with ``reason`` (by
+        a server, the tenant router, or a supervisor out of restarts)."""
+        return cls(
+            index=request.index,
+            tenant=request.tenant,
+            workload_key=request.workload_key,
+            arrival=request.arrival,
+            deadline=request.deadline,
+            admitted=False,
+            shed_reason=reason,
+        )
+
     def as_dict(self) -> dict[str, object]:
         return dataclasses.asdict(self)
 

@@ -202,17 +202,7 @@ class TenantRouter:
                 request, tenant_caps, guarantees, shared, seen
             )
             if reason is not None:
-                shed.append(
-                    QueryOutcome(
-                        index=request.index,
-                        tenant=request.tenant,
-                        workload_key=request.workload_key,
-                        arrival=request.arrival,
-                        deadline=request.deadline,
-                        admitted=False,
-                        shed_reason=reason,
-                    )
-                )
+                shed.append(QueryOutcome.shed(request, reason))
             else:
                 per_shard[seen[request.tenant]].append(request)
         plan = RoutingPlan(

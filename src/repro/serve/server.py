@@ -1,11 +1,14 @@
 """The serving frontend: overlapping deadline-bound queries on one loop.
 
 :class:`CedarServer` owns a virtual-time :class:`~repro.simulation.EventLoop`
-and drives the full request lifecycle::
+and drives every request through one lifecycle, one method per stage::
 
-    arrival -> admission (queue_full / infeasible?) -> queue
-            -> dispatch (stale?) -> backend runs the query
-            -> completion (slot freed, SLO + warm store updated) -> pump
+    admit    _on_arrival    breaker veto, queue_full / infeasible? -> queue
+    dispatch _dispatch      stale? else the backend runs one _Attempt
+    complete _on_complete   slot freed; the degrade controller may retry
+    answer   _answer        attempt -> SLO records + QueryOutcome + span
+                            (_shed: the same for a refused request)
+    report   _build_report  outcome summary, per-run counter deltas
 
 Capacity is ``max_concurrent`` query slots; queries dispatched while
 other slots are busy run with their *remaining* deadline budget (the
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Callable, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -48,8 +51,11 @@ from ..simulation.events import EventLoop
 from .admission import SHED_STALE, AdmissionController
 from .degrade import MODE_HEALTHY, DegradeController, ModeTransition
 from .request import QueryOutcome, QueryRequest, ServeConfig
-from .slo import SLOAccountant
+from .slo import SLOAccountant, _summarise
 from .warmstart import CedarWarmPolicy, WarmStartStore
+
+if TYPE_CHECKING:  # pragma: no cover - repro.learn imports this package
+    from ..learn.policy import LearnedPolicyStats
 
 __all__ = [
     "BackendResult",
@@ -76,9 +82,35 @@ class BackendResult:
     reissued: int = 0
     hedge_wins: int = 0
 
+    @classmethod
+    def from_result(
+        cls, result: Any, elapsed: Optional[float] = None
+    ) -> "BackendResult":
+        """The serving view of any simulator / service result record
+        (fields it lacks keep their defaults; ``elapsed`` overrides its own)."""
+        return cls(
+            quality=result.quality,
+            included_outputs=result.included_outputs,
+            total_outputs=result.total_outputs,
+            elapsed=result.elapsed if elapsed is None else elapsed,
+            degraded=getattr(result, "degraded", False),
+            reissued=getattr(result, "reissued", 0),
+            hedge_wins=getattr(result, "hedge_wins", 0),
+        )
+
 
 class QueryBackend(Protocol):
-    """Executes one admitted query against some substrate."""
+    """Executes one admitted query against some substrate.
+
+    The server calls both hooks unconditionally: subclass for the no-op
+    defaults, override for per-run state or the dispatch clock.
+    """
+
+    def on_run_start(self) -> None:
+        """Reset per-run state (called once at the top of every run)."""
+
+    def observe_dispatch(self, request: QueryRequest, now: float) -> None:
+        """The request and virtual time of the :meth:`run` call that follows."""
 
     def run(
         self,
@@ -92,7 +124,7 @@ class QueryBackend(Protocol):
         ...
 
 
-class SimBackend:
+class SimBackend(QueryBackend):
     """Deterministic in-process simulation of the fault-free tree."""
 
     def __init__(self, agg_sample: Optional[int] = None):
@@ -118,15 +150,10 @@ class SimBackend:
             metrics=metrics,
             span_attrs=span_attrs,
         )
-        return BackendResult(
-            quality=result.quality,
-            included_outputs=result.included_outputs,
-            total_outputs=result.total_outputs,
-            elapsed=result.elapsed,
-        )
+        return BackendResult.from_result(result)
 
 
-class TcpBackend:
+class TcpBackend(QueryBackend):
     """Runs each admitted query over the localhost TCP service path.
 
     ``chaos_factory`` builds a fresh
@@ -169,16 +196,12 @@ class TcpBackend:
             metrics=metrics,
             span_attrs=span_attrs,
         )
-        return BackendResult(
-            quality=result.quality,
-            included_outputs=result.included_outputs,
-            total_outputs=result.total_outputs,
-            elapsed=min(float(result.elapsed_virtual), ctx.deadline),
-            degraded=result.degraded,
+        return BackendResult.from_result(
+            result, elapsed=min(float(result.elapsed_virtual), ctx.deadline)
         )
 
 
-class FixedServiceBackend:
+class FixedServiceBackend(QueryBackend):
     """Constant service time — the M/D/c abstraction of the server.
 
     Used by the admission-control property tests (shed behaviour must
@@ -216,33 +239,33 @@ class FixedServiceBackend:
 
 
 # ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class _Attempt:
+    """One dispatched execution of a request, and the terms it ran on."""
+
+    result: BackendResult
+    queue_delay: float
+    slowdown: float
+    warm: bool
+    #: the deadline the attempt is judged against (brownout-widened).
+    eff_deadline: float
+
+
 @dataclasses.dataclass
 class _RetryState:
     """Book-keeping for one query being retried after fault damage."""
 
     #: deterministic seeds for attempts 2..max_attempts.
     seeds: tuple[int, ...]
+    #: the best-quality attempt so far: what the query is answered with.
+    best: _Attempt
     attempts: int = 1
-    best: Optional[BackendResult] = None
-    best_queue_delay: float = 0.0
-    best_slowdown: float = 1.0
-    best_warm: bool = False
-    best_eff_deadline: float = 0.0
 
-    def note(
-        self,
-        result: BackendResult,
-        queue_delay: float,
-        slowdown: float,
-        warm: bool,
-        eff_deadline: float,
-    ) -> None:
-        if self.best is None or result.quality > self.best.quality:
-            self.best = result
-            self.best_queue_delay = queue_delay
-            self.best_slowdown = slowdown
-            self.best_warm = warm
-            self.best_eff_deadline = eff_deadline
+
+def _run_delta(now: dict[str, int], start: dict[str, int]) -> dict[str, int]:
+    """This run's share of counters that outlive runs: ``now`` minus the
+    run-start snapshot ``start`` (keys ``start`` lacks pass through)."""
+    return {key: now[key] - start.get(key, 0) for key in now}
 
 
 # ----------------------------------------------------------------------
@@ -285,28 +308,13 @@ class ServeReport:
 
     def to_dict(self, include_outcomes: bool = False) -> dict[str, object]:
         doc: dict[str, object] = {
-            "n_requests": self.n_requests,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "shed_fraction": self.shed_fraction,
-            "deadline_hit_rate": self.deadline_hit_rate,
-            "mean_quality": self.mean_quality,
-            "offered_qps": self.offered_qps,
-            "achieved_qps": self.achieved_qps,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "latency_p99": self.latency_p99,
-            "mean_queue_delay": self.mean_queue_delay,
-            "horizon": self.horizon,
-            "tenants": self.tenants,
-            "warm": self.warm,
-            "chaos": self.chaos,
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name != "outcomes"
         }
-        if self.wait_cache:
-            doc["wait_cache"] = self.wait_cache
-        if self.learned:
-            doc["learned"] = self.learned
+        for key in ("wait_cache", "learned"):
+            if not doc[key]:
+                del doc[key]
         if include_outcomes:
             doc["outcomes"] = [o.as_dict() for o in self.outcomes]
         return doc
@@ -319,8 +327,16 @@ class ServeReport:
         )
 
 
+#: the WaitTableCache.stats() keys that count traffic (the rest are sizes).
+_CACHE_COUNTERS = ("batch_solves", "hits", "misses", "solved_rows", "uncached")
+
+
 class CedarServer:
-    """Long-lived serving frontend over a shared capacity pool."""
+    """Long-lived serving frontend over a shared capacity pool.
+
+    ``store`` seeds the warm-start policy the server builds from its
+    config; an explicit warm ``policy`` brings (and reports) its own.
+    """
 
     def __init__(
         self,
@@ -344,7 +360,6 @@ class CedarServer:
                     "not both"
                 )
             self.wait_cache = WaitTableCache(self.config.wait_cache)
-        self.store: Optional[WarmStartStore]
         if policy is not None:
             if self.config.learned:
                 raise ConfigError(
@@ -352,34 +367,44 @@ class CedarServer:
                     "not both"
                 )
             self.policy = policy
-            self.store = store
         elif self.config.learned:
             # local import: repro.learn imports this package
             from ..learn.policy import LearnedWaitPolicy
             from ..learn.table import load_table
 
-            self.store = store if store is not None else WarmStartStore()
             self.policy = LearnedWaitPolicy(
                 load_table(self.config.learned_table),
-                store=self.store,
+                store=store,
                 grid_points=self.config.grid_points,
                 warm_min_samples=self.config.warm_min_samples,
                 wait_cache=self.wait_cache,
             )
         elif self.config.warm_start:
-            self.store = store if store is not None else WarmStartStore()
             self.policy = CedarWarmPolicy(
-                store=self.store,
+                store=store,
                 grid_points=self.config.grid_points,
                 warm_min_samples=self.config.warm_min_samples,
                 wait_cache=self.wait_cache,
             )
         else:
-            self.store = None
+            store = None
             self.policy = CedarPolicy(
                 grid_points=self.config.grid_points,
                 wait_cache=self.wait_cache,
             )
+        #: the policy's warm-start side, resolved once: dispatch sets its
+        #: workload key and harvests it (None when serving cold).
+        self._warm_policy: Optional[CedarWarmPolicy] = (
+            self.policy if isinstance(self.policy, CedarWarmPolicy) else None
+        )
+        if store is None and self._warm_policy is not None:
+            store = self._warm_policy.store
+        #: the store the report's ``warm`` snapshot reads ({} when None).
+        self.store: Optional[WarmStartStore] = store
+        #: the learned policy's persistent decision counters (None otherwise).
+        self._learned_stats: Optional["LearnedPolicyStats"] = getattr(
+            self._warm_policy, "stats", None
+        )
         self.backend: QueryBackend
         if backend is not None:
             if self.config.faults is not None:
@@ -403,86 +428,47 @@ class CedarServer:
         #: outcomes to its supervisor through this. None (the default)
         #: leaves the run bit-identical to a server without the hook.
         self.on_outcome: Optional[Callable[[QueryOutcome, float], None]] = None
-        # per-run state, rebuilt by run()
-        self._loop: EventLoop = EventLoop()
-        self._admission: AdmissionController = self._new_admission()
-        self._slo: SLOAccountant = SLOAccountant(metrics)
-        self._outcomes: dict[int, QueryOutcome] = {}
-        self._last_finish = 0.0
-        self._degrade: Optional[DegradeController] = None
-        self._retrying: dict[int, _RetryState] = {}
-        self._transitions: list[ModeTransition] = []
-        self._wait_cache_stats_start: dict[str, int] = {}
-        self._learned_stats_start: dict[str, int] = {}
+        self._reset_run_state()
 
-    def _new_admission(self) -> AdmissionController:
+    def _reset_run_state(self) -> None:
+        """Fresh per-run state: every run starts from it (and the
+        constructor calls it so the attributes always exist)."""
         cfg = self.config
-        return AdmissionController(
+        self._loop = EventLoop()
+        self._admission = AdmissionController(
             max_concurrent=cfg.max_concurrent,
             max_queue=cfg.max_queue,
             min_deadline_fraction=cfg.min_deadline_fraction,
             service_time_guess=cfg.service_time_guess,
             ewma_alpha=cfg.ewma_alpha,
         )
+        self._slo = SLOAccountant(self.metrics)
+        self._outcomes: dict[int, QueryOutcome] = {}
+        self._last_finish = 0.0
+        self._degrade = (
+            DegradeController(cfg.degrade) if cfg.degrade is not None else None
+        )
+        self._retrying: dict[int, _RetryState] = {}
+        self._transitions: list[ModeTransition] = []
+        # the cache and the learned policy outlive runs; the report
+        # carries per-run deltas of their counters (see _run_delta)
+        self._cache_counters_start: dict[str, int] = {}
+        if self.wait_cache is not None:
+            stats = self.wait_cache.stats()
+            self._cache_counters_start = {k: stats[k] for k in _CACHE_COUNTERS}
+        self._learned_counters_start: dict[str, int] = {}
+        if self._learned_stats is not None:
+            self._learned_counters_start = self._learned_stats.counters()
 
     # ------------------------------------------------------------------
     def run(self, requests: Sequence[QueryRequest]) -> ServeReport:
         """Serve ``requests`` (an open-loop arrival stream) to completion."""
-        order = self._start_run(requests)
+        order = sorted(requests, key=lambda r: (r.arrival, r.index))
+        self._reset_run_state()
+        self.backend.on_run_start()
+        self._schedule_arrivals(order)
         self._loop.run()
         return self._build_report(order)
-
-    def _start_run(
-        self, requests: Sequence[QueryRequest]
-    ) -> list[QueryRequest]:
-        """Reset per-run state and schedule the arrival stream."""
-        order = sorted(requests, key=lambda r: (r.arrival, r.index))
-        self._loop = EventLoop()
-        self._admission = self._new_admission()
-        self._slo = SLOAccountant(self.metrics)
-        self._outcomes = {}
-        self._last_finish = 0.0
-        self._degrade = (
-            DegradeController(self.config.degrade)
-            if self.config.degrade is not None
-            else None
-        )
-        self._retrying = {}
-        self._transitions = []
-        # the cache outlives runs; report per-run deltas of its counters
-        self._wait_cache_stats_start = (
-            self.wait_cache.stats() if self.wait_cache is not None else {}
-        )
-        # likewise for the learned policy's decision counters
-        self._learned_stats_start = self._learned_snapshot()
-        on_run_start = getattr(self.backend, "on_run_start", None)
-        if callable(on_run_start):
-            on_run_start()
-        self._schedule_arrivals(order)
-        return order
-
-    def _learned_snapshot(self) -> dict[str, int]:
-        """Flat integer snapshot of the learned policy's decision
-        counters ({} for every other policy) — per-run report deltas are
-        computed against the snapshot taken at run start."""
-        stats = getattr(self.policy, "stats", None)
-        if stats is None:
-            return {}
-        # local import: repro.learn imports this package; only learned
-        # servers ever reach this line, so plain servers never pay it.
-        from ..learn.policy import LearnedPolicyStats
-
-        if not isinstance(stats, LearnedPolicyStats):
-            return {}
-        snap = {
-            "decisions": stats.decisions,
-            "lookups": stats.lookups,
-            "fallbacks": stats.fallbacks,
-            "fallback_decisions": stats.fallback_decisions,
-        }
-        for reason in sorted(stats.reasons):
-            snap[f"reason:{reason}"] = stats.reasons[reason]
-        return snap
 
     def _schedule_arrivals(self, order: Sequence[QueryRequest]) -> None:
         """Schedule one arrival event per request (subclass hook: the
@@ -498,14 +484,15 @@ class CedarServer:
         if self.on_outcome is not None:
             self.on_outcome(outcome, now)
 
-    # ------------------------------------------------------------------
+    # -- admit ----------------------------------------------------------
     def _on_arrival(self, request: QueryRequest) -> None:
         now = self._loop.now
         self._slo.record_arrival(request.tenant)
         reason: Optional[str] = None
-        if self._degrade is not None:
-            reason = self._degrade.admission_veto(now)
-            self._note_degrade_events()
+        degrade = self._degrade
+        if degrade is not None:
+            reason = degrade.admission_veto(now)
+            self._note_degrade_events(degrade)
         if reason is None:
             reason = self._admission.offer(request, now)
         if reason is not None:
@@ -514,11 +501,9 @@ class CedarServer:
             self._pump()
         self._slo.record_queue_depth(self._admission.queue_depth)
 
-    def _note_degrade_events(self) -> None:
+    def _note_degrade_events(self, degrade: DegradeController) -> None:
         """Mirror freshly-recorded mode transitions into metrics/spans."""
-        if self._degrade is None:
-            return
-        for event in self._degrade.drain_events():
+        for event in degrade.drain_events():
             self._transitions.append(event)
             self._slo.record_mode_transition(event.mode, event.reason)
             if self.tracer is not None:
@@ -532,19 +517,42 @@ class CedarServer:
                     reason=event.reason,
                 )
 
-    def _sync_brownout(self) -> None:
+    def _sync_brownout(self, degrade: DegradeController) -> None:
         """Propagate brownout state into the admission controller's
         deadline/floor scaling (both exactly 1.0 outside brownout)."""
-        cfg = self.config.degrade
-        if cfg is None or self._degrade is None:
-            return
-        if self._degrade.brownout_active:
+        if degrade.brownout_active:
+            cfg = degrade.config
             self._admission.deadline_scale = cfg.brownout_deadline_factor
             self._admission.floor_scale = cfg.brownout_floor_scale
         else:
             self._admission.deadline_scale = 1.0
             self._admission.floor_scale = 1.0
 
+    def _shed(self, request: QueryRequest, now: float, reason: str) -> None:
+        state = self._retrying.pop(request.index, None)
+        if state is not None:
+            # an in-flight retry got shed (queue full / stale): the query
+            # is still *answered* — with the best attempt already in hand.
+            self._answer(request, state.best, state.attempts - 1, now)
+            return
+        self._slo.record_shed(request.tenant, reason)
+        self._record_outcome(QueryOutcome.shed(request, reason), now)
+        if self.tracer is not None:
+            self.tracer.add_span(
+                "request",
+                0,
+                None,
+                request.arrival,
+                now,
+                tenant=request.tenant,
+                workload_key=request.workload_key,
+                query_index=request.index,
+                deadline=request.deadline,
+                admitted=False,
+                shed_reason=reason,
+            )
+
+    # -- dispatch -------------------------------------------------------
     def _prewarm_wait_cache(self) -> None:
         """Batch-solve the wait buckets of every queued request.
 
@@ -575,8 +583,8 @@ class CedarServer:
             # the workload's warm prior when one exists, else the offline
             # population fit.
             dist = None
-            if isinstance(self.policy, CedarWarmPolicy):
-                dist = self.policy.store.prior(request.workload_key)
+            if self._warm_policy is not None:
+                dist = self._warm_policy.store.prior(request.workload_key)
             if dist is None:
                 dist = self.offline_tree.stages[0].duration
             entries.append((tail, remaining, dist, k, grid_points))
@@ -608,9 +616,7 @@ class CedarServer:
         self._admission.start()
         if self._degrade is not None:
             self._degrade.note_dispatch()
-        observe = getattr(self.backend, "observe_dispatch", None)
-        if callable(observe):
-            observe(request, now)
+        self.backend.observe_dispatch(request, now)
         slowdown = 1.0
         if cfg.contention_coeff > 0.0 and occupancy > 0:
             slowdown = 1.0 + cfg.contention_coeff * occupancy / cfg.max_concurrent
@@ -622,142 +628,54 @@ class CedarServer:
             offline_tree=self.offline_tree,
             true_tree=tree,
         )
-        policy = self.policy
+        warm_policy = self._warm_policy
         warm = False
-        if isinstance(policy, CedarWarmPolicy):
-            policy.current_key = request.workload_key
-            warm = policy.store.prior(request.workload_key) is not None
+        if warm_policy is not None:
+            warm_policy.current_key = request.workload_key
+            warm = warm_policy.store.prior(request.workload_key) is not None
         result = self.backend.run(
             ctx,
-            policy,
+            self.policy,
             request.seed,
             self.tracer,
             self.metrics,
             {"query_index": request.index},
         )
-        if isinstance(policy, CedarWarmPolicy):
-            policy.harvest()
+        if warm_policy is not None:
+            warm_policy.harvest()
         PROFILER.stop("serve.dispatch", tok)
-        queue_delay = now - request.arrival
-        self._loop.schedule(
-            result.elapsed,
-            lambda: self._on_complete(
-                request, result, queue_delay, slowdown, warm, eff_deadline
-            ),
-        )
+        attempt = _Attempt(result, now - request.arrival, slowdown, warm, eff_deadline)
+        self._loop.schedule(result.elapsed, lambda: self._on_complete(request, attempt))
 
-    def _on_complete(
-        self,
-        request: QueryRequest,
-        result: BackendResult,
-        queue_delay: float,
-        slowdown: float,
-        warm: bool,
-        eff_deadline: float,
-    ) -> None:
+    # -- complete -------------------------------------------------------
+    def _on_complete(self, request: QueryRequest, attempt: _Attempt) -> None:
         finish = self._loop.now
+        result = attempt.result
         self._admission.finish(result.elapsed)
-        if self._degrade is not None:
-            self._degrade.observe_completion(finish, result.degraded, result.quality)
-            self._note_degrade_events()
-            self._sync_brownout()
-            if self._maybe_retry(
-                request, result, queue_delay, slowdown, warm, eff_deadline, finish
-            ):
-                self._slo.record_queue_depth(self._admission.queue_depth)
-                self._pump()
-                return
-        state = self._retrying.pop(request.index, None)
-        retries = state.attempts - 1 if state is not None else 0
-        if (
-            state is not None
-            and state.best is not None
-            and state.best.quality > result.quality
-        ):
-            # answer with the best attempt seen, not merely the last
-            result = state.best
-            queue_delay = state.best_queue_delay
-            slowdown = state.best_slowdown
-            warm = state.best_warm
-            eff_deadline = state.best_eff_deadline
-        # queue_delay + elapsed rather than finish - arrival: identical in
-        # exact arithmetic, but free of the float round-trip through
-        # absolute loop time — so at zero queue delay the latency equals
-        # the standalone simulator's elapsed bit-for-bit. A retried query
-        # was answered only when its final attempt finished, so there the
-        # wall-clock span is the honest latency.
-        latency = (
-            queue_delay + result.elapsed if retries == 0 else finish - request.arrival
-        )
-        hit = latency <= eff_deadline + 1e-9 and result.quality > 0.0
-        brownout = eff_deadline > request.deadline
-        self._slo.record_completion(
-            request.tenant, latency, eff_deadline, result.quality, hit
-        )
-        if result.degraded:
-            self._slo.record_degraded(request.tenant)
-        if brownout:
-            self._slo.record_brownout(request.tenant)
-        if result.reissued:
-            self._slo.record_hedge(request.tenant, result.reissued, result.hedge_wins)
+        degrade = self._degrade
+        retried = False
+        if degrade is not None:
+            degrade.observe_completion(finish, result.degraded, result.quality)
+            self._note_degrade_events(degrade)
+            self._sync_brownout(degrade)
+            retried = self._maybe_retry(degrade, request, attempt, finish)
+        if not retried:
+            retries = 0
+            state = self._retrying.pop(request.index, None)
+            if state is not None:
+                retries = state.attempts - 1
+                if state.best.result.quality > result.quality:
+                    # answer with the best attempt seen, not merely the last
+                    attempt = state.best
+            self._answer(request, attempt, retries, finish)
         self._slo.record_queue_depth(self._admission.queue_depth)
-        if finish > self._last_finish:
-            self._last_finish = finish
-        outcome = QueryOutcome(
-            index=request.index,
-            tenant=request.tenant,
-            workload_key=request.workload_key,
-            arrival=request.arrival,
-            deadline=request.deadline,
-            admitted=True,
-            queue_delay=queue_delay,
-            slowdown=slowdown,
-            latency=latency,
-            quality=result.quality,
-            included_outputs=result.included_outputs,
-            total_outputs=result.total_outputs,
-            deadline_hit=hit,
-            warm=warm,
-            degraded=result.degraded,
-            retries=retries,
-            brownout=brownout,
-            reissued=result.reissued,
-            hedge_wins=result.hedge_wins,
-        )
-        self._record_outcome(outcome, finish)
-        if self.tracer is not None:
-            self.tracer.add_span(
-                "request",
-                0,
-                None,
-                request.arrival,
-                finish,
-                tenant=request.tenant,
-                workload_key=request.workload_key,
-                query_index=request.index,
-                deadline=request.deadline,
-                admitted=True,
-                queue_delay=queue_delay,
-                slowdown=slowdown,
-                warm=warm,
-                latency=latency,
-                quality=result.quality,
-                degraded=result.degraded,
-                retries=retries,
-                brownout=brownout,
-                reissued=result.reissued,
-                hedge_wins=result.hedge_wins,
-            )
         self._pump()
 
     def _maybe_retry(
         self,
+        degrade: DegradeController,
         request: QueryRequest,
-        result: BackendResult,
-        queue_delay: float,
-        slowdown: float,
-        warm: bool,
-        eff_deadline: float,
+        attempt: _Attempt,
         finish: float,
     ) -> bool:
         """Re-offer a fault-damaged query with a fresh deterministic seed.
@@ -767,121 +685,80 @@ class CedarServer:
         tenant's budget and still pass admission control — a retry the
         queue cannot absorb is refunded and the original answer stands.
         """
-        cfg = self.config.degrade
-        if cfg is None or self._degrade is None:
-            return False
+        cfg = degrade.config
+        result = attempt.result
         if not result.degraded or result.quality > cfg.retry_quality_floor:
             return False
         state = self._retrying.get(request.index)
         attempts = state.attempts if state is not None else 1
         if attempts >= cfg.max_attempts:
             return False
-        if not self._degrade.try_consume_retry(request.tenant):
+        if not degrade.try_consume_retry(request.tenant):
             return False
         if state is None:
             seeds = seeds_for(
                 fork(request.seed, "serve-retry"), cfg.max_attempts - 1
             )
             state = self._retrying[request.index] = _RetryState(
-                seeds=tuple(int(s) for s in seeds)
+                seeds=tuple(int(s) for s in seeds), best=attempt
             )
-        state.note(result, queue_delay, slowdown, warm, eff_deadline)
+        elif result.quality > state.best.result.quality:
+            state.best = attempt
         retry = dataclasses.replace(request, seed=state.seeds[attempts - 1])
         reason = self._admission.offer(retry, finish)
         if reason is not None:
-            self._degrade.refund_retry(request.tenant)
+            degrade.refund_retry(request.tenant)
             return False
         state.attempts = attempts + 1
         self._slo.record_retry(request.tenant)
         return True
 
-    def _shed(self, request: QueryRequest, now: float, reason: str) -> None:
-        state = self._retrying.pop(request.index, None)
-        if state is not None and state.best is not None:
-            # an in-flight retry got shed (queue full / stale): the query
-            # is still *answered* — with the best attempt already in hand.
-            result = state.best
-            latency = now - request.arrival
-            hit = (
-                latency <= state.best_eff_deadline + 1e-9 and result.quality > 0.0
-            )
-            brownout = state.best_eff_deadline > request.deadline
-            self._slo.record_completion(
-                request.tenant,
-                latency,
-                state.best_eff_deadline,
-                result.quality,
-                hit,
-            )
-            if result.degraded:
-                self._slo.record_degraded(request.tenant)
-            if brownout:
-                self._slo.record_brownout(request.tenant)
-            if result.reissued:
-                self._slo.record_hedge(
-                    request.tenant, result.reissued, result.hedge_wins
-                )
-            if now > self._last_finish:
-                self._last_finish = now
-            outcome = QueryOutcome(
-                index=request.index,
-                tenant=request.tenant,
-                workload_key=request.workload_key,
-                arrival=request.arrival,
-                deadline=request.deadline,
-                admitted=True,
-                queue_delay=state.best_queue_delay,
-                slowdown=state.best_slowdown,
-                latency=latency,
-                quality=result.quality,
-                included_outputs=result.included_outputs,
-                total_outputs=result.total_outputs,
-                deadline_hit=hit,
-                warm=state.best_warm,
-                degraded=result.degraded,
-                retries=state.attempts - 1,
-                brownout=brownout,
-                reissued=result.reissued,
-                hedge_wins=result.hedge_wins,
-            )
-            self._record_outcome(outcome, now)
-            if self.tracer is not None:
-                self.tracer.add_span(
-                    "request",
-                    0,
-                    None,
-                    request.arrival,
-                    now,
-                    tenant=request.tenant,
-                    workload_key=request.workload_key,
-                    query_index=request.index,
-                    deadline=request.deadline,
-                    admitted=True,
-                    queue_delay=state.best_queue_delay,
-                    slowdown=state.best_slowdown,
-                    warm=state.best_warm,
-                    latency=latency,
-                    quality=result.quality,
-                    degraded=result.degraded,
-                    retries=state.attempts - 1,
-                    brownout=brownout,
-                    reissued=result.reissued,
-                    hedge_wins=result.hedge_wins,
-                )
-            return
-        self._slo.record_shed(request.tenant, reason)
-        self._record_outcome(
-            QueryOutcome(
-                index=request.index,
-                tenant=request.tenant,
-                workload_key=request.workload_key,
-                arrival=request.arrival,
-                deadline=request.deadline,
-                admitted=False,
-                shed_reason=reason,
-            ),
-            now,
+    # -- answer ---------------------------------------------------------
+    def _answer(
+        self, request: QueryRequest, attempt: _Attempt, retries: int, now: float
+    ) -> None:
+        """Answer ``request`` with ``attempt`` at virtual time ``now``: the
+        one place an attempt becomes SLO records, the terminal outcome and
+        the answered "request" span — on completion, or when an in-flight
+        retry (``retries >= 1``) is shed with an answer already in hand."""
+        result = attempt.result
+        # queue_delay + elapsed rather than now - arrival: identical in
+        # exact arithmetic, but free of the float round-trip through
+        # absolute loop time — so at zero queue delay the latency equals
+        # the standalone simulator's elapsed bit-for-bit. A retried query
+        # was answered only when its final attempt finished (or was shed),
+        # so there the wall-clock span is the honest latency.
+        latency = (
+            attempt.queue_delay + result.elapsed
+            if retries == 0
+            else now - request.arrival
         )
+        hit = latency <= attempt.eff_deadline + 1e-9 and result.quality > 0.0
+        outcome = QueryOutcome(
+            index=request.index,
+            tenant=request.tenant,
+            workload_key=request.workload_key,
+            arrival=request.arrival,
+            deadline=request.deadline,
+            admitted=True,
+            queue_delay=attempt.queue_delay,
+            slowdown=attempt.slowdown,
+            latency=latency,
+            quality=result.quality,
+            included_outputs=result.included_outputs,
+            total_outputs=result.total_outputs,
+            deadline_hit=hit,
+            warm=attempt.warm,
+            degraded=result.degraded,
+            retries=retries,
+            brownout=attempt.eff_deadline > request.deadline,
+            reissued=result.reissued,
+            hedge_wins=result.hedge_wins,
+        )
+        self._slo.record_answer(outcome, attempt.eff_deadline)
+        if now > self._last_finish:
+            self._last_finish = now
+        self._record_outcome(outcome, now)
         if self.tracer is not None:
             self.tracer.add_span(
                 "request",
@@ -889,22 +766,27 @@ class CedarServer:
                 None,
                 request.arrival,
                 now,
-                tenant=request.tenant,
-                workload_key=request.workload_key,
-                query_index=request.index,
-                deadline=request.deadline,
-                admitted=False,
-                shed_reason=reason,
+                tenant=outcome.tenant,
+                workload_key=outcome.workload_key,
+                query_index=outcome.index,
+                deadline=outcome.deadline,
+                admitted=True,
+                queue_delay=outcome.queue_delay,
+                slowdown=outcome.slowdown,
+                warm=outcome.warm,
+                latency=latency,
+                quality=outcome.quality,
+                degraded=outcome.degraded,
+                retries=retries,
+                brownout=outcome.brownout,
+                reissued=outcome.reissued,
+                hedge_wins=outcome.hedge_wins,
             )
 
-    # ------------------------------------------------------------------
+    # -- report ---------------------------------------------------------
     def _build_report(self, order: list[QueryRequest]) -> ServeReport:
         outcomes = tuple(self._outcomes[r.index] for r in order)
         admitted = [o for o in outcomes if o.admitted]
-        shed = len(outcomes) - len(admitted)
-        latencies = [o.latency for o in admitted]
-        qualities = [o.quality for o in admitted]
-        hits = sum(1 for o in admitted if o.deadline_hit)
         queue_delays = [o.queue_delay for o in admitted]
         n = len(order)
         offered_qps = 0.0
@@ -919,11 +801,7 @@ class CedarServer:
             if horizon > 0.0:
                 achieved_qps = len(admitted) / horizon
 
-        def pct(samples: list[float], q: float) -> float:
-            if not samples:
-                return 0.0
-            return float(np.percentile(np.asarray(samples, dtype=float), q))
-
+        degrade = self._degrade
         chaos: dict[str, object] = {
             "degraded": sum(1 for o in admitted if o.degraded),
             "retries": sum(o.retries for o in admitted),
@@ -931,35 +809,16 @@ class CedarServer:
             "hedge_reissued": sum(o.reissued for o in admitted),
             "hedge_wins": sum(o.hedge_wins for o in admitted),
             "mode_transitions": [t.as_dict() for t in self._transitions],
-            "final_mode": (
-                self._degrade.mode if self._degrade is not None else MODE_HEALTHY
-            ),
+            "final_mode": degrade.mode if degrade is not None else MODE_HEALTHY,
             "retry_tokens_used": (
-                self._degrade.retry_tokens_used()
-                if self._degrade is not None
-                else {}
+                degrade.retry_tokens_used() if degrade is not None else {}
             ),
         }
 
         wait_cache_doc: dict[str, int] = {}
         if self.wait_cache is not None:
             stats = self.wait_cache.stats()
-            start = self._wait_cache_stats_start
-            counters = {
-                "batch_solves",
-                "hits",
-                "misses",
-                "solved_rows",
-                "uncached",
-            }
-            wait_cache_doc = {
-                key: (
-                    stats[key] - start.get(key, 0)
-                    if key in counters
-                    else stats[key]
-                )
-                for key in sorted(stats)
-            }
+            wait_cache_doc = _run_delta(stats, self._cache_counters_start)
             self._slo.record_wait_cache(
                 hits=wait_cache_doc["hits"],
                 misses=wait_cache_doc["misses"],
@@ -968,43 +827,19 @@ class CedarServer:
             )
 
         learned_doc: dict[str, object] = {}
-        snap = self._learned_snapshot()
-        if snap:
-            start = self._learned_stats_start
-            delta = {key: snap[key] - start.get(key, 0) for key in snap}
-            decisions = delta["decisions"]
-            learned_doc = {
-                "decisions": decisions,
-                "lookups": delta["lookups"],
-                "fallbacks": delta["fallbacks"],
-                "fallback_decisions": delta["fallback_decisions"],
-                "fallback_rate": (
-                    delta["fallback_decisions"] / decisions if decisions else 0.0
-                ),
-                "reasons": {
-                    key.split(":", 1)[1]: count
-                    for key, count in sorted(delta.items())
-                    if key.startswith("reason:") and count
-                },
-            }
-            self._slo.record_learned(delta["lookups"], delta["fallbacks"])
+        learned = self._learned_stats
+        if learned is not None:
+            run_stats = learned.from_counters(
+                _run_delta(learned.counters(), self._learned_counters_start)
+            )
+            learned_doc = run_stats.as_dict()
+            self._slo.record_learned(run_stats.lookups, run_stats.fallbacks)
 
         return ServeReport(
-            n_requests=n,
-            admitted=len(admitted),
-            completed=len(admitted),
-            shed=shed,
-            shed_fraction=shed / n if n else 0.0,
-            deadline_hit_rate=hits / len(admitted) if admitted else 0.0,
-            mean_quality=float(np.mean(qualities)) if qualities else 0.0,
+            **_summarise(outcomes, n),
             offered_qps=offered_qps,
             achieved_qps=achieved_qps,
-            latency_p50=pct(latencies, 50.0),
-            latency_p95=pct(latencies, 95.0),
-            latency_p99=pct(latencies, 99.0),
-            mean_queue_delay=(
-                float(np.mean(queue_delays)) if queue_delays else 0.0
-            ),
+            mean_queue_delay=float(np.mean(queue_delays)) if queue_delays else 0.0,
             horizon=horizon,
             tenants=self._slo.rollup(),
             warm=self.store.snapshot() if self.store is not None else {},

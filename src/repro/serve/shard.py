@@ -44,8 +44,6 @@ import math
 import time
 from typing import Any, Mapping, Optional, Sequence
 
-import numpy as np
-
 from ..errors import ConfigError, ShardError
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import PROFILER
@@ -61,7 +59,7 @@ from .shardworker import (
     run_incarnation,
     shard_worker_main,
 )
-from .slo import SLOAccountant
+from .slo import SLOAccountant, _summarise
 
 __all__ = [
     "SHED_SHARD_LOST",
@@ -269,25 +267,11 @@ class ShardServeReport:
         include_shard_reports: bool = False,
     ) -> dict[str, object]:
         doc: dict[str, object] = {
-            "n_requests": self.n_requests,
-            "n_shards": self.n_shards,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "shed_fraction": self.shed_fraction,
-            "router_shed": self.router_shed,
-            "deadline_hit_rate": self.deadline_hit_rate,
-            "mean_quality": self.mean_quality,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "latency_p99": self.latency_p99,
-            "horizon": self.horizon,
-            "tenants": self.tenants,
-            "shards": self.shards,
-            "recovery": list(self.recovery),
-            "terminal": self.terminal,
-            "router": self.router,
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name not in ("outcomes", "shard_reports")
         }
+        doc["recovery"] = list(self.recovery)
         if include_outcomes:
             doc["outcomes"] = [o.as_dict() for o in self.outcomes]
         if include_shard_reports:
@@ -473,15 +457,8 @@ class ShardSupervisor:
             return False
         if state.restarts >= self.config.max_restarts:
             for index in sorted(state.pending):
-                request = state.pending[index]
-                state.outcomes[index] = QueryOutcome(
-                    index=request.index,
-                    tenant=request.tenant,
-                    workload_key=request.workload_key,
-                    arrival=request.arrival,
-                    deadline=request.deadline,
-                    admitted=False,
-                    shed_reason=SHED_SHARD_LOST,
+                state.outcomes[index] = QueryOutcome.shed(
+                    state.pending[index], SHED_SHARD_LOST
                 )
             self._event(
                 state,
@@ -652,42 +629,20 @@ class ShardSupervisor:
                     outcome.tenant, outcome.shed_reason or "unknown"
                 )
                 continue
-            eff_deadline = outcome.deadline * (
-                brownout_factor if outcome.brownout else 1.0
+            self._slo.record_answer(
+                outcome,
+                outcome.deadline * (brownout_factor if outcome.brownout else 1.0),
             )
-            self._slo.record_completion(
-                outcome.tenant,
-                outcome.latency,
-                eff_deadline,
-                outcome.quality,
-                outcome.deadline_hit,
-            )
-            if outcome.degraded:
-                self._slo.record_degraded(outcome.tenant)
-            if outcome.brownout:
-                self._slo.record_brownout(outcome.tenant)
             for _ in range(outcome.retries):
                 self._slo.record_retry(outcome.tenant)
-            if outcome.reissued:
-                self._slo.record_hedge(
-                    outcome.tenant, outcome.reissued, outcome.hedge_wins
-                )
 
         admitted = [o for o in outcomes if o.admitted]
-        latencies = [o.latency for o in admitted]
-        qualities = [o.quality for o in admitted]
-        hits = sum(1 for o in admitted if o.deadline_hit)
         horizon = 0.0
         if order and admitted:
             horizon = (
                 max(o.arrival + o.latency for o in admitted)
                 - order[0].arrival
             )
-
-        def pct(samples: list[float], q: float) -> float:
-            if not samples:
-                return 0.0
-            return float(np.percentile(np.asarray(samples, dtype=float), q))
 
         shards: dict[str, dict[str, object]] = {}
         recovery: list[dict[str, object]] = []
@@ -715,7 +670,6 @@ class ShardSupervisor:
                 "clean_exit": state.report is not None,
             }
 
-        shed_outcomes = [o for o in outcomes if not o.admitted]
         terminal: dict[str, object] = {
             "expected": len(order),
             "recorded": len(outcomes),
@@ -723,24 +677,14 @@ class ShardSupervisor:
             "lost_indices": lost,
             "duplicates": sum(s.duplicates for s in states),
             "shard_lost": sum(
-                1 for o in shed_outcomes if o.shed_reason == SHED_SHARD_LOST
+                1 for o in outcomes if o.shed_reason == SHED_SHARD_LOST
             ),
         }
 
-        n = len(order)
         report = ShardServeReport(
-            n_requests=n,
+            **_summarise(outcomes, len(order)),
             n_shards=self.config.n_shards,
-            admitted=len(admitted),
-            completed=len(admitted),
-            shed=len(shed_outcomes),
-            shed_fraction=len(shed_outcomes) / n if n else 0.0,
             router_shed=len(plan.shed),
-            deadline_hit_rate=hits / len(admitted) if admitted else 0.0,
-            mean_quality=float(np.mean(qualities)) if qualities else 0.0,
-            latency_p50=pct(latencies, 50.0),
-            latency_p95=pct(latencies, 95.0),
-            latency_p99=pct(latencies, 99.0),
             horizon=horizon,
             tenants=self._slo.rollup(),
             shards=shards,

@@ -15,12 +15,13 @@ package.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..obs.metrics import FRACTION_BUCKETS, QUALITY_BUCKETS, MetricsRegistry
+from .request import QueryOutcome
 
 __all__ = [
     "SLOAccountant",
@@ -140,6 +141,32 @@ def _percentile(samples: list[float], q: float) -> float:
     return float(np.percentile(np.asarray(samples, dtype=float), q))
 
 
+def _summarise(
+    outcomes: Sequence[QueryOutcome], n_requests: int
+) -> dict[str, Any]:
+    """The headline fields :class:`~repro.serve.ServeReport` and
+    :class:`~repro.serve.ShardServeReport` share, over one terminal
+    outcome stream (keyed by field name, for ``**`` into either)."""
+    admitted = [o for o in outcomes if o.admitted]
+    shed = len(outcomes) - len(admitted)
+    latencies = [o.latency for o in admitted]
+    hits = sum(1 for o in admitted if o.deadline_hit)
+    return {
+        "n_requests": n_requests,
+        "admitted": len(admitted),
+        "completed": len(admitted),
+        "shed": shed,
+        "shed_fraction": shed / n_requests if n_requests else 0.0,
+        "deadline_hit_rate": hits / len(admitted) if admitted else 0.0,
+        "mean_quality": (
+            float(np.mean([o.quality for o in admitted])) if admitted else 0.0
+        ),
+        "latency_p50": _percentile(latencies, 50.0),
+        "latency_p95": _percentile(latencies, 95.0),
+        "latency_p99": _percentile(latencies, 99.0),
+    }
+
+
 class SLOAccountant:
     """Accumulates per-tenant serving outcomes and rolls them up."""
 
@@ -197,6 +224,26 @@ class SLOAccountant:
                 buckets=QUALITY_BUCKETS,
                 help="per-response quality at the serving layer",
             ).observe(quality, tenant=tenant)
+
+    def record_answer(self, outcome: QueryOutcome, eff_deadline: float) -> None:
+        """Everything one answered query owes the accountant: the
+        completion (judged against ``eff_deadline``, the brownout-widened
+        deadline its attempt ran under) plus its degraded / brownout /
+        hedge marks. The server's answer stage and the supervisor's
+        merged-stream replay both record through here."""
+        self.record_completion(
+            outcome.tenant,
+            outcome.latency,
+            eff_deadline,
+            outcome.quality,
+            outcome.deadline_hit,
+        )
+        if outcome.degraded:
+            self.record_degraded(outcome.tenant)
+        if outcome.brownout:
+            self.record_brownout(outcome.tenant)
+        if outcome.reissued:
+            self.record_hedge(outcome.tenant, outcome.reissued, outcome.hedge_wins)
 
     def record_queue_depth(self, depth: int) -> None:
         metrics = self._metrics

@@ -1,11 +1,9 @@
 """The failure-aware Cedar variant."""
 
-import numpy as np
 import numpy.testing as npt
 import pytest
 
 from repro.core import (
-    AdaptiveController,
     CedarFailureAwarePolicy,
     CedarPolicy,
     FailureAwareWaitOptimizer,
@@ -15,7 +13,6 @@ from repro.core import (
 )
 from repro.distributions import LogNormal
 from repro.errors import ConfigError
-from repro.estimation import OrderStatisticEstimator
 from repro.experiments import POLICY_FACTORIES
 from repro.faults import FaultModel
 from repro.simulation import run_experiment
@@ -39,6 +36,10 @@ class TestConstruction:
             CedarFailureAwarePolicy(agg_crash_prob=1.0)
         with pytest.raises(ConfigError):
             CedarFailureAwarePolicy(worker_crash_prob=2.0)
+        with pytest.raises(ConfigError):
+            FailureAwareWaitOptimizer(
+                TREE.stages[1:], 20.0, 64, shipment_survival=1.5
+            )
 
     def test_from_fault_model(self):
         faults = FaultModel(
@@ -113,48 +114,3 @@ class TestDeflatedPlanning:
         x1 = LogNormal(0.0, 0.8)
         assert opt_aware.optimize(x1, 10) <= opt_plain.optimize(x1, 10) + 1e-9
 
-
-class TestExperimentalKnobs:
-    def test_input_survival_validated(self):
-        with pytest.raises(ConfigError):
-            FailureAwareWaitOptimizer(
-                TREE.stages[1:], 20.0, 64, input_survival=0.0
-            )
-        with pytest.raises(ConfigError):
-            FailureAwareWaitOptimizer(
-                TREE.stages[1:], 20.0, 64, shipment_survival=1.5
-            )
-
-    def test_input_survival_thins_estimate(self):
-        x1 = LogNormal(0.0, 0.8)
-        plain = FailureAwareWaitOptimizer(TREE.stages[1:], 20.0, 128)
-        thinned = FailureAwareWaitOptimizer(
-            TREE.stages[1:], 20.0, 128, input_survival=0.6
-        )
-        q_plain = plain.curve(x1, 10).quality
-        q_thin = thinned.curve(x1, 10).quality
-        assert q_plain.shape == q_thin.shape
-        # fewer expected arrivals -> achievable quality strictly lower
-        # somewhere on the grid
-        assert np.max(q_plain - q_thin) > 0.0
-
-    def test_estimate_k_validated(self):
-        def controller(estimate_k):
-            return AdaptiveController(
-                estimator=OrderStatisticEstimator(),
-                optimizer=FailureAwareWaitOptimizer(TREE.stages[1:], 20.0, 64),
-                k=10,
-                deadline=20.0,
-                estimate_k=estimate_k,
-            )
-
-        with pytest.raises(ConfigError):
-            controller(0)
-        with pytest.raises(ConfigError):
-            controller(11)
-        ctrl = controller(6)
-        for i in range(8):
-            ctrl.on_arrival(0.5 + 0.1 * i)
-        # arrivals beyond estimate_k still count as received, but only
-        # the first estimate_k feed the estimator
-        assert ctrl.n_received == 8

@@ -11,7 +11,9 @@ from repro.distributions import LogNormal
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.serve import (
     SERVE_SPAN_ATTRS,
+    BackendResult,
     CedarServer,
+    DegradeConfig,
     FixedServiceBackend,
     LoadGenerator,
     QueryRequest,
@@ -19,6 +21,7 @@ from repro.serve import (
     TcpBackend,
     pinned_workload,
 )
+from repro.serve.server import QueryBackend
 from repro.simulation import simulate_query
 
 SMALL_TREE = TreeSpec.two_level(LogNormal(1.0, 0.4), 3, LogNormal(0.5, 0.3), 2)
@@ -106,6 +109,139 @@ class TestContention:
         slowdowns = sorted(o.slowdown for o in report.outcomes)
         assert slowdowns[0] == 1.0  # first query dispatched alone
         assert slowdowns[-1] == pytest.approx(1.5)  # second slot busy
+
+
+class _ScriptedBackend(QueryBackend):
+    """Hands out pre-written results in call order; from the second call
+    on every dispatch finds a warm prior (the first call plants one)."""
+
+    def __init__(self, *results):
+        self.results = list(results)
+
+    def run(self, ctx, policy, seed, tracer, metrics, span_attrs):
+        if policy.store.prior(policy.current_key) is None:
+            policy.store.observe_query(policy.current_key, [3.0], [0.8])
+        return self.results.pop(0)
+
+
+class TestRetryEndings:
+    """Both ways a retried query ends are answered with the *best*
+    attempt — its quality, queue delay, slowdown and warm flag — at the
+    time the answer was actually given."""
+
+    DEGRADE = DegradeConfig(
+        max_attempts=2, retry_quality_floor=0.5, min_samples=10
+    )
+
+    def _serve(self, requests, *results):
+        tracer = SpanTracer()
+        cfg = ServeConfig(
+            max_concurrent=2,
+            max_queue=4,
+            min_deadline_fraction=0.3,
+            contention_coeff=1.0,
+            degrade=self.DEGRADE,
+        )
+        server = CedarServer(
+            SMALL_TREE, cfg, backend=_ScriptedBackend(*results), tracer=tracer
+        )
+        report = server.run(requests)
+        spans = [
+            s
+            for s in tracer.spans
+            if s.kind == "request" and s.attrs["query_index"] == 0
+        ]
+        return report, spans
+
+    @staticmethod
+    def _request(index, arrival, tenant):
+        return QueryRequest(
+            index=index,
+            arrival=arrival,
+            deadline=100.0,
+            tree=SMALL_TREE,
+            seed=index,
+            tenant=tenant,
+        )
+
+    @staticmethod
+    def _result(quality, elapsed, degraded=True):
+        return BackendResult(
+            quality=quality,
+            included_outputs=int(6 * quality),
+            total_outputs=6,
+            elapsed=elapsed,
+            degraded=degraded,
+        )
+
+    def test_last_attempt_worse_than_best(self):
+        # "a" runs 0-10 (q=0.4, retried), "b" runs 5-25, the retry of "a"
+        # runs 10-20 beside "b" (slowed, queued 10, warm) and comes back
+        # worse: the first attempt is the answer, given at t=20.
+        report, spans = self._serve(
+            [self._request(0, 0.0, "a"), self._request(1, 5.0, "b")],
+            self._result(0.4, 10.0),
+            self._result(1.0, 20.0, degraded=False),
+            self._result(0.1, 10.0),
+        )
+        answer = report.outcomes[0]
+        assert answer.admitted and answer.degraded and answer.deadline_hit
+        assert (answer.quality, answer.retries, answer.latency) == (0.4, 1, 20.0)
+        assert (answer.queue_delay, answer.slowdown, answer.warm) == (
+            0.0,
+            1.0,
+            False,
+        )
+        assert answer.included_outputs == 2
+        rollup = report.tenants["a"]
+        assert (rollup["retries"], rollup["completed"], rollup["shed"]) == (1, 1, 0)
+        assert rollup["latency_p50"] == 20.0
+        assert report.chaos["retry_tokens_used"] == {"a": 1}
+        assert len(spans) == 1
+        assert spans[0].end == 20.0
+        assert (spans[0].attrs["quality"], spans[0].attrs["retries"]) == (0.4, 1)
+        assert spans[0].attrs["queue_delay"] == 0.0
+
+    def test_last_attempt_stands_when_better(self):
+        report, _ = self._serve(
+            [self._request(0, 0.0, "a"), self._request(1, 5.0, "b")],
+            self._result(0.4, 10.0),
+            self._result(1.0, 20.0, degraded=False),
+            self._result(0.45, 10.0),
+        )
+        answer = report.outcomes[0]
+        assert (answer.quality, answer.retries, answer.latency) == (0.45, 1, 20.0)
+        # the retry's own dispatch terms: queued behind its first attempt,
+        # slowed by "b" in the other slot, warm
+        assert (answer.queue_delay, answer.slowdown, answer.warm) == (
+            10.0,
+            1.5,
+            True,
+        )
+
+    def test_in_flight_retry_shed_stale(self):
+        # the first attempt burns 80 of 100: the retry is admitted, found
+        # stale at dispatch (20 left < the 30 floor) and shed — but the
+        # query is still answered, with the attempt in hand, at t=80.
+        report, spans = self._serve(
+            [self._request(0, 0.0, "a")], self._result(0.4, 80.0)
+        )
+        (answer,) = report.outcomes
+        assert answer.admitted and answer.shed_reason is None
+        assert answer.degraded and answer.deadline_hit
+        assert (answer.quality, answer.retries, answer.latency) == (0.4, 1, 80.0)
+        assert (answer.queue_delay, answer.slowdown, answer.warm) == (
+            0.0,
+            1.0,
+            False,
+        )
+        assert (report.admitted, report.shed) == (1, 0)
+        rollup = report.tenants["a"]
+        assert (rollup["retries"], rollup["completed"], rollup["shed"]) == (1, 1, 0)
+        assert len(spans) == 1
+        assert spans[0].end == 80.0
+        assert spans[0].attrs["admitted"] is True
+        assert (spans[0].attrs["quality"], spans[0].attrs["retries"]) == (0.4, 1)
 
 
 class TestObservability:

@@ -20,6 +20,7 @@ from repro.serve import (
     ShardKill,
     ShardKillSchedule,
     ShardSupervisor,
+    pinned_config,
     pinned_workload,
 )
 
@@ -209,6 +210,44 @@ class TestRepeatedKillsAndValve:
         events = [e for e in report.recovery if e["event"] == "shard_lost"]
         assert len(events) == 1
         assert events[0]["reason"] == "max_restarts_exhausted"
+
+
+class TestExactlyOnceAtHarnessScale:
+    """The terminal contract at the size ``benchmarks/perf`` serves
+    (its ``sharded_inline`` stream), not only at CI-sized n=12."""
+
+    def test_three_kills_lose_and_duplicate_nothing(self):
+        requests = LoadGenerator(
+            workload=WORKLOAD,
+            qps=0.1,
+            n_requests=3000,
+            deadline=60.0,
+            seed=2608,
+            tenants=("a", "b", "c", "d"),
+            rate_amplitude=0.5,
+        ).generate()
+        config = ShardConfig(
+            n_shards=2,
+            serve=pinned_config(),
+            inline=True,
+            kills=ShardKillSchedule.of(
+                ShardKill(0, 4000.0), ShardKill(0, 20000.0), ShardKill(1, 9000.0)
+            ),
+        )
+
+        def run():
+            return ShardSupervisor(OFFLINE, config).run(requests)
+
+        report = run()
+        _assert_exactly_one_terminal(report, requests)
+        assert report.terminal["duplicates"] == 0
+        assert report.terminal["shard_lost"] == 0
+        for shard, cycles in (("0", 2), ("1", 1)):
+            assert report.shards[shard]["kills"] == cycles
+            assert report.shards[shard]["restarts"] == cycles
+        assert run().to_json(include_outcomes=True) == report.to_json(
+            include_outcomes=True
+        )
 
 
 class TestWarmCheckpointRestart:

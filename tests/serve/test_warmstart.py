@@ -129,3 +129,18 @@ class TestPolicyIntegration:
         # later queries saw the prior built by earlier ones
         assert any(o.warm for o in report.outcomes)
         assert not report.outcomes[0].warm  # the very first is always cold
+
+    def test_explicit_warm_policy_reports_its_own_store(self):
+        """Regression: ``policy=CedarWarmPolicy()`` served warm but left
+        ``report.warm`` empty (the server never looked at the policy's
+        store) — and a shard built that way checkpointed ``warm: None``."""
+        workload = pinned_workload()
+        generator = LoadGenerator(
+            workload=workload, qps=0.01, n_requests=6, deadline=60.0, seed=5
+        )
+        policy = CedarWarmPolicy()
+        server = CedarServer(workload.offline_tree(), policy=policy)
+        report = server.run(generator.generate())
+        assert sum(o.warm for o in report.outcomes) == 5
+        assert server.store is policy.store
+        assert report.warm[workload.name]["n_queries"] == 6
