@@ -555,12 +555,14 @@ def _cmd_chaos_serve(args) -> int:
             faults=schedule,
             degrade=DegradeConfig(),
         )
+        # without --seed the generator keeps its own pinned default
+        seed = {} if args.seed is None else {"seed": args.seed}
         requests = LoadGenerator(
             workload=FixedWorkload(tree),
             qps=args.serve_qps,
             n_requests=args.serve_requests,
             deadline=args.deadline,
-            seed=args.seed,
+            **seed,
         ).generate()
         server = CedarServer(
             offline_tree=tree, config=config, policy=policy

@@ -25,7 +25,6 @@ from . import (
     shard_serving,
 )
 from .common import ExperimentReport, pick
-from .store import ReportDiff, compare_reports, load_report, save_report
 from .sweep import POLICY_FACTORIES, load_spec, run_sweep, run_sweep_file
 
 ALL = {
@@ -63,8 +62,4 @@ __all__ = [
     "load_spec",
     "run_sweep",
     "run_sweep_file",
-    "save_report",
-    "load_report",
-    "compare_reports",
-    "ReportDiff",
 ]

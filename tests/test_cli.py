@@ -233,6 +233,14 @@ class TestChaosCommand:
         assert root.span.attrs["transport"] == "tcp"
         assert len(root.children) == 3  # one span per aggregator
 
+    def test_documented_serve_command_runs_without_seed(self, capsys):
+        # the README / docs/serving.md command verbatim: no --seed
+        argv = ("chaos --serve --deadline 60 --mu1 3.0 --sigma1 0.8 "
+                "--mu2 2.2 --sigma2 0.35 --k1 4 --k2 8 --kill 0.1 "
+                "--drop 0.05").split()
+        assert main(argv) == 0
+        assert "final mode:" in capsys.readouterr().out
+
 
 class TestServeBenchCommand:
     def test_smoke_to_file(self, tmp_path, capsys):
