@@ -30,7 +30,6 @@ Package layout:
 from .core import (
     AdaptiveController,
     AggregatorController,
-    CedarEmpiricalPolicy,
     CedarOfflinePolicy,
     CedarPolicy,
     EqualSplitPolicy,
@@ -113,7 +112,6 @@ __all__ = [
     "WaitPolicy",
     "WaitOptimizer",
     "CedarPolicy",
-    "CedarEmpiricalPolicy",
     "CedarOfflinePolicy",
     "IdealPolicy",
     "ProportionalSplitPolicy",

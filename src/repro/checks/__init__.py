@@ -30,14 +30,12 @@ comment::
 
     value = random.random()  # cedarlint: disable=CDR001 -- test-only helper
 
-Grandfathered findings live in a committed baseline file (see
-:mod:`repro.checks.baseline`); ``cedar-repro lint --update-baseline``
-rewrites it.
+There is no baseline of grandfathered findings: ``src`` lints clean, so
+every finding is new and fails the gate.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline
 from .engine import Finding, LintConfig, Rule, lint_paths, lint_source
 from .flow import ProjectIndex, infer_lock_discipline
 from .rules import ALL_RULES, rule_catalog
@@ -45,7 +43,6 @@ from .sanitizer import run_sanitizer
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "Finding",
     "LintConfig",
     "ProjectIndex",

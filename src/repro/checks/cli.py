@@ -1,7 +1,7 @@
 """``cedar-repro lint``: the static-analysis gate.
 
-Exit codes: 0 — clean (or only grandfathered findings); 1 — new
-findings; 2 — usage or configuration error. CI runs
+Exit codes: 0 — clean; 1 — findings; 2 — usage or configuration
+error. CI runs
 ``cedar-repro lint src`` and fails the job on non-zero.
 """
 
@@ -12,11 +12,6 @@ import sys
 from typing import Optional, Sequence, TextIO
 
 from ..errors import ConfigError
-from .baseline import (
-    DEFAULT_BASELINE_PATH,
-    Baseline,
-    resolve_baseline_path,
-)
 from .engine import LintConfig, iter_python_files, lint_paths
 from .report import render_json, render_rule_list, render_text
 from .rules import default_rules
@@ -37,22 +32,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         choices=("text", "json"),
         default="text",
         help="report format",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE_PATH,
-        help=f"baseline file of grandfathered findings "
-        f"(default: {DEFAULT_BASELINE_PATH}; missing file = empty)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file: every finding is new",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to grandfather all current findings",
     )
     parser.add_argument(
         "--select",
@@ -104,28 +83,12 @@ def run_lint(
     try:
         findings = lint_paths(args.paths, rules=default_rules(), config=config)
         files_checked = sum(1 for _ in iter_python_files(args.paths, config))
-        if args.update_baseline:
-            Baseline.from_findings(findings).write(args.baseline)
-            print(
-                f"cedarlint: baseline {args.baseline} updated "
-                f"({len(findings)} entr{'y' if len(findings) == 1 else 'ies'})",
-                file=out,
-            )
-            return 0
-        if args.no_baseline:
-            baseline = Baseline()
-        else:
-            baseline_path, note = resolve_baseline_path(args.baseline)
-            if note is not None:
-                print(note, file=sys.stderr)
-            baseline = Baseline.load(baseline_path)
     except ConfigError as exc:
         print(f"cedarlint: error: {exc}", file=sys.stderr)
         return 2
-    new, grandfathered = baseline.split(findings)
     renderer = render_json if args.format == "json" else render_text
-    print(renderer(new, grandfathered, files_checked), file=out)
-    code = 1 if new else 0
+    print(renderer(findings, files_checked), file=out)
+    code = 1 if findings else 0
     if args.sanitize:
         code = max(code, _run_sanitize(args, out))
     return code

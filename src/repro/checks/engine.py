@@ -52,12 +52,12 @@ class Finding:
     source_line: str = ""
 
     def fingerprint(self, occurrence: int = 0) -> str:
-        """Stable identity for baselining.
+        """Stable identity of a finding across edits elsewhere in a file.
 
         Built from the rule, the file, and the *text* of the flagged
-        line (not its number), so unrelated edits above a grandfathered
-        finding do not churn the baseline. ``occurrence`` disambiguates
-        identical lines within one file.
+        line (not its number), so unrelated edits above the finding do
+        not change it. ``occurrence`` disambiguates identical lines
+        within one file.
         """
         material = "\x1f".join(
             (

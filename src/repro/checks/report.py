@@ -11,18 +11,9 @@ from .rules import rule_catalog
 __all__ = ["render_text", "render_json", "render_rule_list"]
 
 
-def render_text(
-    new: Sequence[Finding],
-    grandfathered: Sequence[Finding] = (),
-    files_checked: int = 0,
-) -> str:
+def render_text(new: Sequence[Finding], files_checked: int = 0) -> str:
     """One line per finding plus a summary line (empty-run friendly)."""
     lines = [finding.render() for finding in new]
-    if grandfathered:
-        lines.append(
-            f"({len(grandfathered)} grandfathered finding(s) suppressed "
-            f"by the baseline)"
-        )
     by_rule: dict[str, int] = {}
     for finding in new:
         by_rule[finding.rule_id] = by_rule.get(finding.rule_id, 0) + 1
@@ -39,11 +30,7 @@ def render_text(
     return "\n".join(lines)
 
 
-def render_json(
-    new: Sequence[Finding],
-    grandfathered: Sequence[Finding] = (),
-    files_checked: int = 0,
-) -> str:
+def render_json(new: Sequence[Finding], files_checked: int = 0) -> str:
     """Stable JSON document for tooling (sorted keys)."""
 
     def row(finding: Finding) -> dict[str, object]:
@@ -58,8 +45,7 @@ def render_json(
     doc = {
         "files_checked": files_checked,
         "new": [row(f) for f in new],
-        "grandfathered": [row(f) for f in grandfathered],
-        "summary": {"new": len(new), "grandfathered": len(grandfathered)},
+        "summary": {"new": len(new)},
     }
     return json.dumps(doc, indent=1, sort_keys=True)
 

@@ -8,7 +8,6 @@ from .explain import WaitExplanation, explain_wait
 from .hetero import HeteroQuery, Silo, hetero_max_quality, hetero_wait_schedules
 from .policies import (
     CedarDeepPolicy,
-    CedarEmpiricalPolicy,
     CedarFailureAwarePolicy,
     CedarOfflinePolicy,
     CedarPolicy,
@@ -32,7 +31,6 @@ from .quality import (
     tail_quality_grid,
 )
 from .wait import (
-    FailureAwareWaitOptimizer,
     WaitOptimizer,
     WaitSchedule,
     calculate_wait,
@@ -71,7 +69,6 @@ __all__ = [
     "optimal_wait",
     "calculate_wait",
     "WaitOptimizer",
-    "FailureAwareWaitOptimizer",
     "WaitSchedule",
     "wait_schedule",
     "AggregatorController",
@@ -86,7 +83,6 @@ __all__ = [
     "IdealPolicy",
     "CedarPolicy",
     "CedarDeepPolicy",
-    "CedarEmpiricalPolicy",
     "CedarFailureAwarePolicy",
     "CedarOfflinePolicy",
     "default_policies",

@@ -92,8 +92,9 @@ class AdaptiveController(AggregatorController):
         :class:`~repro.serve.WarmStartStore`). When given, the initial
         timer is the prior-optimal wait instead of the full deadline, and
         ``last_estimate`` reports the prior until the online fit takes
-        over at ``min_samples`` arrivals. ``None`` (the default) keeps
-        Pseudocode 1's cold start bit-for-bit.
+        over at ``min_samples`` arrivals (:meth:`online_estimate` never
+        reports it). ``None`` (the default) keeps Pseudocode 1's cold
+        start bit-for-bit.
     """
 
     def __init__(
@@ -126,6 +127,7 @@ class AdaptiveController(AggregatorController):
         self._reoptimize_every = int(reoptimize_every)
         # Pseudocode 1: SetTimer(D, TimerExpire) before any output arrives.
         self._stop = float(deadline)
+        self._prior = prior
         self._last_estimate: Optional[Distribution] = None
         if prior is not None:
             # Warm start: plan the timer from the prior immediately, as
@@ -148,6 +150,17 @@ class AdaptiveController(AggregatorController):
     def last_estimate(self) -> Optional[Distribution]:
         """Most recent fitted arrival distribution (None before warm-up)."""
         return self._last_estimate
+
+    @property
+    def arrivals(self) -> tuple[float, ...]:
+        """Every arrival time seen so far, in order."""
+        return self._stream.arrivals
+
+    def online_estimate(self) -> Optional[Distribution]:
+        """The last estimate if the *online* fit produced it; ``None``
+        before the fit runs and while the injected prior still stands."""
+        est = self._last_estimate
+        return None if est is self._prior else est
 
     # ------------------------------------------------------------------
     def on_arrival(self, t: float) -> None:

@@ -27,20 +27,11 @@ from typing import Any, Callable, Optional
 
 from ..distributions import Distribution
 from ..errors import ConfigError
-from ..estimation import (
-    EmpiricalEstimator,
-    Estimator,
-    OrderStatisticEstimator,
-)
+from ..estimation import Estimator, OrderStatisticEstimator
 from .aggregator import AdaptiveController, AggregatorController, StaticController
 from .config import Stage, TreeSpec
 from .quality import DEFAULT_GRID_POINTS
-from .wait import (
-    FailureAwareWaitOptimizer,
-    WaitOptimizer,
-    WaitSchedule,
-    wait_schedule,
-)
+from .wait import WaitOptimizer, WaitSchedule, wait_schedule
 from .waitbatch import CachedWaitOptimizer, WaitCacheLike, as_wait_cache
 
 __all__ = [
@@ -53,7 +44,6 @@ __all__ = [
     "IdealPolicy",
     "CedarPolicy",
     "CedarDeepPolicy",
-    "CedarEmpiricalPolicy",
     "CedarOfflinePolicy",
     "CedarFailureAwarePolicy",
     "default_policies",
@@ -250,6 +240,9 @@ class CedarPolicy(WaitPolicy):
     """
 
     name = "cedar"
+    #: The wait cache stores undiscounted solves; a policy whose bottom
+    #: solve carries a survival discount keeps it exact.
+    _bottom_from_cache = True
 
     def __init__(
         self,
@@ -269,20 +262,38 @@ class CedarPolicy(WaitPolicy):
         self._schedules = _ScheduleCache(grid_points)
         self._optimizers: dict[tuple, WaitOptimizer] = {}
 
-    def _optimizer(self, ctx: QueryContext) -> WaitOptimizer:
-        key = (ctx.offline_tree.stages[1:], round(ctx.deadline, 12))
+    @property
+    def shipment_survival(self) -> float:
+        """Probability one aggregator's shipment reaches its parent; the
+        gain of waiting is discounted by it (1: lossless infrastructure)."""
+        return 1.0
+
+    def _planning_tree(self, tree: TreeSpec) -> TreeSpec:
+        """The tree the upper-level static schedules are solved on."""
+        return tree
+
+    def _optimizer(self, ctx: QueryContext, level: int = 1) -> WaitOptimizer:
+        """CALCULATEWAIT for a level-``level`` aggregator, one per (tail,
+        deadline): from the shared wait cache at the bottom when one is
+        wired, exact otherwise."""
+        tail = ctx.offline_tree.stages[level:]
+        key = (tail, round(ctx.deadline, 12))
         found = self._optimizers.get(key)
         if found is None:
-            if self.wait_cache is not None:
+            if (
+                level == 1
+                and self.wait_cache is not None
+                and self._bottom_from_cache
+            ):
                 found = CachedWaitOptimizer(
-                    ctx.offline_tree.stages[1:],
-                    ctx.deadline,
-                    self.grid_points,
-                    cache=self.wait_cache,
+                    tail, ctx.deadline, self.grid_points, cache=self.wait_cache
                 )
             else:
                 found = WaitOptimizer(
-                    ctx.offline_tree.stages[1:], ctx.deadline, self.grid_points
+                    tail,
+                    ctx.deadline,
+                    self.grid_points,
+                    shipment_survival=self.shipment_survival,
                 )
             self._optimizers[key] = found
         return found
@@ -294,18 +305,31 @@ class CedarPolicy(WaitPolicy):
             return self.wait_cache.schedule_for(tree, deadline, self.grid_points)
         return self._schedules.schedule(tree, deadline)
 
+    def _learning_controller(
+        self,
+        ctx: QueryContext,
+        level: int = 1,
+        prior: Optional[Distribution] = None,
+        min_samples: Optional[int] = None,
+    ) -> AdaptiveController:
+        """Pseudocode 1's controller for a level-``level`` aggregator,
+        warm-started from ``prior`` when one is given. Every Cedar
+        variant builds its learning controllers here."""
+        return AdaptiveController(
+            estimator=self._estimator_factory(),
+            optimizer=self._optimizer(ctx, level),
+            k=ctx.offline_tree.stages[level - 1].fanout,
+            deadline=ctx.deadline,
+            min_samples=self.min_samples if min_samples is None else min_samples,
+            reoptimize_every=self.reoptimize_every,
+            prior=prior,
+        )
+
     def controller(self, ctx: QueryContext, level: int) -> AggregatorController:
         _check_level(ctx, level)
         if level == 1:
-            return AdaptiveController(
-                estimator=self._estimator_factory(),
-                optimizer=self._optimizer(ctx),
-                k=ctx.offline_tree.stages[0].fanout,
-                deadline=ctx.deadline,
-                min_samples=self.min_samples,
-                reoptimize_every=self.reoptimize_every,
-            )
-        sched = self._schedule(ctx.offline_tree, ctx.deadline)
+            return self._learning_controller(ctx)
+        sched = self._schedule(self._planning_tree(ctx.offline_tree), ctx.deadline)
         return StaticController(min(sched.stop_for_level(level), ctx.deadline))
 
 
@@ -327,23 +351,7 @@ class CedarDeepPolicy(CedarPolicy):
 
     def controller(self, ctx: QueryContext, level: int) -> AggregatorController:
         _check_level(ctx, level)
-        if level == 1:
-            return super().controller(ctx, 1)
-        key = (ctx.offline_tree.stages[level:], round(ctx.deadline, 12))
-        found = self._optimizers.get(key)
-        if found is None:
-            found = WaitOptimizer(
-                ctx.offline_tree.stages[level:], ctx.deadline, self.grid_points
-            )
-            self._optimizers[key] = found
-        return AdaptiveController(
-            estimator=self._estimator_factory(),
-            optimizer=found,
-            k=ctx.offline_tree.stages[level - 1].fanout,
-            deadline=ctx.deadline,
-            min_samples=self.min_samples,
-            reoptimize_every=self.reoptimize_every,
-        )
+        return self._learning_controller(ctx, level)
 
 
 class CedarFailureAwarePolicy(CedarPolicy):
@@ -355,8 +363,8 @@ class CedarFailureAwarePolicy(CedarPolicy):
     * the expected gain of waiting (Eqn 3) is discounted by the shipment
       survival probability ``(1 - ship_loss)(1 - agg_crash)`` — waiting
       longer only pays off if the shipment survives, while the outputs
-      already held stay exposed either way (see
-      :class:`~repro.core.wait.FailureAwareWaitOptimizer`);
+      already held stay exposed either way (see ``shipment_survival`` in
+      :class:`~repro.core.wait.WaitOptimizer`);
     * upper-level *static* schedules — the levels with no online signal —
       are solved on a planning tree whose fan-outs are deflated to the
       inputs expected to survive (``round(k * survival)`` at each level).
@@ -375,6 +383,7 @@ class CedarFailureAwarePolicy(CedarPolicy):
     """
 
     name = "cedar-failure-aware"
+    _bottom_from_cache = False
 
     def __init__(
         self,
@@ -423,9 +432,8 @@ class CedarFailureAwarePolicy(CedarPolicy):
     def _deflate(k: int, survival: float) -> int:
         return max(1, int(round(k * survival)))
 
-    def _deflated_tree(self, tree: TreeSpec) -> TreeSpec:
-        """The tree upper-level schedules plan for: fan-outs shrunk to
-        the inputs expected to actually show up."""
+    def _planning_tree(self, tree: TreeSpec) -> TreeSpec:
+        """Fan-outs shrunk to the inputs expected to actually show up."""
         stages = [
             Stage(
                 tree.stages[0].duration,
@@ -440,53 +448,6 @@ class CedarFailureAwarePolicy(CedarPolicy):
                 )
             )
         return TreeSpec(stages)
-
-    def _optimizer(self, ctx: QueryContext) -> WaitOptimizer:
-        key = (
-            ctx.offline_tree.stages[1:],
-            round(ctx.deadline, 12),
-            self.shipment_survival,
-        )
-        found = self._optimizers.get(key)
-        if found is None:
-            found = FailureAwareWaitOptimizer(
-                ctx.offline_tree.stages[1:],
-                ctx.deadline,
-                self.grid_points,
-                shipment_survival=self.shipment_survival,
-            )
-            self._optimizers[key] = found
-        return found
-
-    def controller(self, ctx: QueryContext, level: int) -> AggregatorController:
-        _check_level(ctx, level)
-        if level == 1:
-            return AdaptiveController(
-                estimator=self._estimator_factory(),
-                optimizer=self._optimizer(ctx),
-                k=ctx.offline_tree.stages[0].fanout,
-                deadline=ctx.deadline,
-                min_samples=self.min_samples,
-                reoptimize_every=self.reoptimize_every,
-            )
-        sched = self._schedule(
-            self._deflated_tree(ctx.offline_tree), ctx.deadline
-        )
-        return StaticController(min(sched.stop_for_level(level), ctx.deadline))
-
-
-class CedarEmpiricalPolicy(CedarPolicy):
-    """Cedar's pipeline with the biased empirical estimator swapped in —
-    the Figure 10 ablation quantifying the value of order statistics."""
-
-    name = "cedar-empirical"
-
-    def __init__(self, grid_points: int = DEFAULT_GRID_POINTS, **kwargs: Any):
-        super().__init__(
-            estimator_factory=lambda: EmpiricalEstimator(family="lognormal"),
-            grid_points=grid_points,
-            **kwargs,
-        )
 
 
 def default_policies(include_ideal: bool = True) -> list[WaitPolicy]:

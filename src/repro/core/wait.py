@@ -40,7 +40,6 @@ from .quality import (
 __all__ = [
     "calculate_wait",
     "WaitOptimizer",
-    "FailureAwareWaitOptimizer",
     "wait_schedule",
     "WaitSchedule",
 ]
@@ -100,6 +99,16 @@ class WaitOptimizer:
     Construct once with the stages *above* the learning aggregator and the
     end-to-end deadline; then :meth:`optimize` re-solves the bottom sweep
     for any (estimated) bottom distribution in ``O(grid_points)``.
+
+    ``shipment_survival`` folds a known loss probability into Eqn 3: on
+    infrastructure that loses this aggregator's *own* shipment with
+    probability ``1 - shipment_survival`` (aggregator crash or dropped
+    upstream message), the expected payoff of waiting for one more output
+    is discounted by the survival probability, while the quality already
+    held stays fully exposed to the deadline - Equation 3 is scaled,
+    Equation 4 is not. The optimum shifts toward shorter waits as the
+    infrastructure degrades; at the default 1 the discount is ``1.0 * x``,
+    which is exact.
     """
 
     def __init__(
@@ -107,14 +116,20 @@ class WaitOptimizer:
         tail_stages: Sequence[Stage],
         deadline: float,
         grid_points: int = DEFAULT_GRID_POINTS,
+        shipment_survival: float = 1.0,
     ):
         if deadline <= 0.0:
             raise ConfigError(f"deadline must be positive, got {deadline}")
+        if not 0.0 < shipment_survival <= 1.0:
+            raise ConfigError(
+                f"shipment_survival must be in (0, 1], got {shipment_survival}"
+            )
         self.tail_stages = tuple(tail_stages)
         if len(self.tail_stages) == 0:
             raise ConfigError("need at least one stage")
         self.deadline = float(deadline)
         self.grid_points = int(grid_points)
+        self.shipment_survival = float(shipment_survival)
         self._tail: Optional[QualityGrid] = None
 
     @property
@@ -140,7 +155,9 @@ class WaitOptimizer:
     def curve(self, x1: Distribution, k1: int) -> WaitCurve:
         """Full wait-vs-quality curve for bottom stage ``(x1, k1)``."""
         tok = PROFILER.start()
-        curve = sweep_wait(x1, k1, self.tail)
+        curve = sweep_wait(
+            x1, k1, self.tail, gain_discount=self.shipment_survival
+        )
         PROFILER.stop("core.wait.sweep", tok)
         return curve
 
@@ -151,44 +168,6 @@ class WaitOptimizer:
     def max_quality(self, x1: Distribution, k1: int) -> float:
         """Expected quality at the optimal wait."""
         return self.curve(x1, k1).max_quality
-
-
-class FailureAwareWaitOptimizer(WaitOptimizer):
-    """Wait optimizer that folds known loss probabilities into Eqn 3.
-
-    On infrastructure that loses this aggregator's *own* shipment with
-    probability ``1 - shipment_survival`` (aggregator crash or dropped
-    upstream message), the expected payoff of waiting for one more output
-    is discounted by the survival probability, while the quality already
-    held remains fully exposed to the deadline — Equation 3 is scaled,
-    Equation 4 is not.
-
-    The optimum shifts toward shorter waits as the infrastructure
-    degrades; with ``shipment_survival`` at 1 this is exactly the plain
-    :class:`WaitOptimizer`.
-    """
-
-    def __init__(
-        self,
-        tail_stages: Sequence[Stage],
-        deadline: float,
-        grid_points: int = DEFAULT_GRID_POINTS,
-        shipment_survival: float = 1.0,
-    ):
-        if not 0.0 < shipment_survival <= 1.0:
-            raise ConfigError(
-                f"shipment_survival must be in (0, 1], got {shipment_survival}"
-            )
-        super().__init__(tail_stages, deadline, grid_points)
-        self.shipment_survival = float(shipment_survival)
-
-    def curve(self, x1: Distribution, k1: int) -> WaitCurve:
-        tok = PROFILER.start()
-        curve = sweep_wait(
-            x1, k1, self.tail, gain_discount=self.shipment_survival
-        )
-        PROFILER.stop("core.wait.sweep", tok)
-        return curve
 
 
 @dataclasses.dataclass(frozen=True)

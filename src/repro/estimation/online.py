@@ -42,6 +42,11 @@ class StreamingEstimator:
         return len(self._arrivals)
 
     @property
+    def arrivals(self) -> tuple[float, ...]:
+        """The arrival times observed so far, in order."""
+        return tuple(self._arrivals)
+
+    @property
     def complete(self) -> bool:
         """True once all ``k`` outputs have arrived."""
         return len(self._arrivals) >= self._k

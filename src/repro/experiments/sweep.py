@@ -29,7 +29,6 @@ from typing import Mapping
 
 from ..core import (
     CedarDeepPolicy,
-    CedarEmpiricalPolicy,
     CedarFailureAwarePolicy,
     CedarOfflinePolicy,
     CedarPolicy,
@@ -40,6 +39,7 @@ from ..core import (
     WaitCacheConfig,
 )
 from ..errors import ConfigError, SimulationError
+from ..estimation import EmpiricalEstimator
 from ..simulation import run_experiment
 from ..traces import make_workload
 from .common import ExperimentReport
@@ -52,7 +52,7 @@ POLICY_FACTORIES = {
     "mean-subtract": lambda gp: MeanSubtractPolicy(),
     "cedar": lambda gp: CedarPolicy(grid_points=gp),
     "cedar-deep": lambda gp: CedarDeepPolicy(grid_points=gp),
-    "cedar-empirical": lambda gp: CedarEmpiricalPolicy(grid_points=gp),
+    "cedar-empirical": lambda gp: _empirical_policy(gp),
     "cedar-offline": lambda gp: CedarOfflinePolicy(grid_points=gp),
     "cedar-tabulated": lambda gp: _tabulated_policy(gp),
     # default rates; a sweep's "faults" block overrides them (run_sweep
@@ -74,6 +74,17 @@ def _tabulated_policy(grid_points: int) -> CedarPolicy:
     arrival, under its own name so it can race plain ``cedar``."""
     policy = CedarPolicy(grid_points=grid_points, wait_cache=WaitCacheConfig())
     policy.name = "cedar-tabulated"
+    return policy
+
+
+def _empirical_policy(grid_points: int) -> CedarPolicy:
+    """Cedar's pipeline with the biased empirical estimator swapped in:
+    the Fig. 10 ablation of what order statistics are worth."""
+    policy = CedarPolicy(
+        estimator_factory=lambda: EmpiricalEstimator(family="lognormal"),
+        grid_points=grid_points,
+    )
+    policy.name = "cedar-empirical"
     return policy
 
 

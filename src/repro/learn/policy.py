@@ -195,9 +195,7 @@ class LearnedController(AggregatorController):
         """The fitted distribution if the *online* learner produced one
         (the injected prior/offline regime does not count)."""
         est = self.last_estimate
-        if est is None or est is self._initial_estimate:
-            return None
-        return est
+        return None if est is self._initial_estimate else est
 
     # ------------------------------------------------------------------
     def _activate_fallback(self, reason: str) -> None:
@@ -296,13 +294,8 @@ class LearnedWaitPolicy(CedarWarmPolicy):
         self.stats = LearnedPolicyStats()
         self._featurizer = table.featurizer()
         self._seen_resets: dict[str, int] = {}
-        self._learned: list[LearnedController] = []
 
     # ------------------------------------------------------------------
-    def begin_query(self, ctx: QueryContext) -> None:
-        super().begin_query(ctx)
-        self._learned = []
-
     def controller(self, ctx: QueryContext, level: int) -> AggregatorController:
         if level != 1:
             return super().controller(ctx, level)
@@ -311,57 +304,31 @@ class LearnedWaitPolicy(CedarWarmPolicy):
         resets = self.store.resets_for(key)
         drifted = resets > self._seen_resets.get(key, 0)
         self._seen_resets[key] = resets
-        effective_min = (
-            self.warm_min_samples if prior is not None else self.min_samples
-        )
-        optimizer = self._optimizer(ctx)
-        k = ctx.offline_tree.stages[0].fanout
-        deadline = ctx.deadline
-
-        def fallback_factory() -> AdaptiveController:
-            return AdaptiveController(
-                estimator=self._estimator_factory(),
-                optimizer=optimizer,
-                k=k,
-                deadline=deadline,
-                min_samples=effective_min,
-                reoptimize_every=self.reoptimize_every,
-                prior=prior,
-            )
-
+        effective_min = self._min_samples_for(prior)
         regime = (
             prior if prior is not None else ctx.offline_tree.stages[0].duration
         )
         controller = LearnedController(
             table=self.table,
             featurizer=self._featurizer,
-            k=k,
-            deadline=deadline,
+            k=ctx.offline_tree.stages[0].fanout,
+            deadline=ctx.deadline,
             regime=regime,
             estimator=self._estimator_factory(),
-            fallback_factory=fallback_factory,
+            fallback_factory=lambda: self._learning_controller(
+                ctx, prior=prior, min_samples=effective_min
+            ),
             stats=self.stats,
             min_samples=effective_min,
             reoptimize_every=self.reoptimize_every,
             force_fallback=FALLBACK_DRIFT if drifted else None,
         )
-        self._learned.append(controller)
+        self._bottom.append(controller)
         return controller
 
+    # Its own attribute, not the inherited one: the wall-clock harness
+    # (benchmarks/perf/trace.py) wraps each policy class's harvest by name.
     def harvest(self) -> None:
         """Feed the finished query's online estimates back into the store
-        (same contract as :meth:`CedarWarmPolicy.harvest`)."""
-        mus: list[float] = []
-        sigmas: list[float] = []
-        durations: list[float] = []
-        for controller in self._learned:
-            durations.extend(controller.arrivals)
-            est = controller.online_estimate()
-            mu = getattr(est, "mu", None)
-            sigma = getattr(est, "sigma", None)
-            if mu is not None and sigma is not None:
-                mus.append(float(mu))
-                sigmas.append(float(sigma))
-        self._learned = []
-        self._recorders = []
-        self.store.observe_query(key=self.current_key, mus=mus, sigmas=sigmas, durations=durations)
+        (same loop as :meth:`CedarWarmPolicy.harvest`)."""
+        self._fold_bottom()

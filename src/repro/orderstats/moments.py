@@ -14,7 +14,7 @@ import math
 from typing import Mapping
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from ..distributions.base import Distribution
 from ..errors import DistributionError
@@ -56,6 +56,10 @@ class OrderStatistic(Distribution):
         return float(out) if np.ndim(out) == 0 else out
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        # scipy.stats is imported here, not at module level: it costs
+        # about a third of `import repro` and nothing else needs it.
+        from scipy import stats
+
         u = np.asarray(self.parent.cdf(x), dtype=float)
         fu = np.asarray(self.parent.pdf(x), dtype=float)
         beta_pdf = stats.beta.pdf(np.clip(u, 0.0, 1.0), self.i, self.k - self.i + 1)
@@ -80,6 +84,8 @@ class OrderStatistic(Distribution):
 
     def mean(self) -> float:
         """E[X_(i:k)] = integral over p of Q_parent(p) Beta(i, k-i+1) density."""
+        from scipy import stats
+
         i, k = self.i, self.k
 
         def integrand(p: float) -> float:
@@ -89,6 +95,8 @@ class OrderStatistic(Distribution):
         return float(val)
 
     def var(self) -> float:
+        from scipy import stats
+
         m = self.mean()
         i, k = self.i, self.k
 

@@ -1,4 +1,4 @@
-"""CLI-level gate behavior: exit codes, baseline workflow, self-lint."""
+"""CLI-level gate behavior: exit codes, report formats, self-lint."""
 
 import json
 import pathlib
@@ -20,55 +20,45 @@ def run_lint(*argv):
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_positive_fixture_exits_nonzero(rule_id, capsys):
     """Flipping any negative fixture to its positive form fails the gate."""
-    code = run_lint(str(FIXTURES / f"{rule_id.lower()}_pos.py"), "--no-baseline")
+    code = run_lint(str(FIXTURES / f"{rule_id.lower()}_pos.py"))
     assert code == 1
     assert rule_id in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_negative_fixture_exits_zero(rule_id, capsys):
-    code = run_lint(str(FIXTURES / f"{rule_id.lower()}_neg.py"), "--no-baseline")
+    code = run_lint(str(FIXTURES / f"{rule_id.lower()}_neg.py"))
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
 
 def test_self_lint_src_is_clean_at_head(capsys):
-    """Acceptance: cedar-repro lint src exits 0 with the shipped baseline."""
-    code = run_lint(
-        str(REPO_ROOT / "src"),
-        "--baseline",
-        str(REPO_ROOT / "src" / "repro" / "checks" / "cedarlint-baseline.json"),
-    )
+    """Acceptance: cedar-repro lint src exits 0."""
+    code = run_lint(str(REPO_ROOT / "src"))
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
 
 def test_json_report_is_machine_readable(capsys):
-    code = run_lint(
-        str(FIXTURES / "cdr001_pos.py"), "--no-baseline", "--format", "json"
-    )
+    code = run_lint(str(FIXTURES / "cdr001_pos.py"), "--format", "json")
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["new"] >= 1
     assert {row["rule"] for row in doc["new"]} == {"CDR001"}
 
 
-def test_update_baseline_then_relint_is_green(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    target = str(FIXTURES / "cdr001_pos.py")
-    assert run_lint(target, "--baseline", str(baseline), "--update-baseline") == 0
-    capsys.readouterr()
-    assert run_lint(target, "--baseline", str(baseline)) == 0
-    out = capsys.readouterr().out
-    assert "grandfathered" in out
-    # the gate stays strict for *new* findings on top of the baseline
-    assert run_lint(target, "--baseline", str(baseline), "--no-baseline") == 1
+@pytest.mark.parametrize(
+    "flag", ["--baseline=x.json", "--no-baseline", "--update-baseline"]
+)
+def test_baseline_flags_are_gone(flag, capsys):
+    """There is no baseline: its flags are usage errors (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        run_lint(str(FIXTURES / "cdr001_pos.py"), flag)
+    assert exc.value.code == 2
 
 
 def test_select_limits_rules(capsys):
-    code = run_lint(
-        str(FIXTURES / "cdr001_pos.py"), "--no-baseline", "--select", "CDR002"
-    )
+    code = run_lint(str(FIXTURES / "cdr001_pos.py"), "--select", "CDR002")
     assert code == 0
 
 
@@ -81,27 +71,5 @@ def test_list_rules_prints_catalog(capsys):
 
 def test_lint_tests_tree_is_clean_at_head(capsys):
     """The test suite itself obeys the rules (fixtures are excluded)."""
-    code = run_lint(
-        str(REPO_ROOT / "tests" / "checks"),
-        "--baseline",
-        str(REPO_ROOT / "src" / "repro" / "checks" / "cedarlint-baseline.json"),
-    )
+    code = run_lint(str(REPO_ROOT / "tests" / "checks"))
     assert code == 0
-
-
-def test_legacy_root_baseline_still_honored(tmp_path, capsys, monkeypatch):
-    """The pre-relocation root-level baseline loads with a deprecation
-    note when the packaged default is absent (back-compat contract)."""
-    from repro.checks.baseline import Baseline
-    from repro.checks.engine import lint_paths
-
-    fixture = FIXTURES / "cdr001_pos.py"
-    (tmp_path / "src").mkdir()
-    legacy = tmp_path / "cedarlint-baseline.json"
-    Baseline.from_findings(lint_paths([str(fixture)])).write(str(legacy))
-    monkeypatch.chdir(tmp_path)
-    code = run_lint(str(fixture))
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "grandfathered" in captured.out
-    assert "deprecated" in captured.err

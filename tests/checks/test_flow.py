@@ -356,8 +356,7 @@ def test_cdr011_exempts_the_clock_module():
 
 
 def test_flow_rules_are_clean_over_src_at_head():
-    """Acceptance: the CDR009..CDR011 sweep over src finds nothing (the
-    committed baseline stays empty for the flow rules)."""
+    """Acceptance: the CDR009..CDR011 sweep over src finds nothing."""
     from repro.checks import LintConfig, lint_paths
 
     config = LintConfig(select=frozenset({"CDR009", "CDR010", "CDR011"}))

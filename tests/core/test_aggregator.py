@@ -102,6 +102,46 @@ class TestAdaptiveController:
         # learned stop should be in the same ballpark as the oracle wait
         assert abs(c.stop_time - reference) < 3.0
 
+    def test_arrivals_are_the_observed_times(self, optimizer):
+        c = AdaptiveController(
+            OrderStatisticEstimator("lognormal"), optimizer, k=20, deadline=10.0
+        )
+        assert c.arrivals == ()
+        times = [0.5, 0.7, 0.7, 1.3]
+        for t in times:
+            c.on_arrival(t)
+        assert list(c.arrivals) == times
+
+    def test_online_estimate_none_before_fit(self, optimizer):
+        c = AdaptiveController(
+            OrderStatisticEstimator("lognormal"), optimizer, k=20, deadline=10.0
+        )
+        assert c.online_estimate() is None
+        c.on_arrival(0.5)
+        assert c.online_estimate() is None
+        c.on_arrival(0.8)
+        assert c.online_estimate() is not None
+        assert c.online_estimate() is c.last_estimate
+
+    def test_online_estimate_never_the_prior(self, optimizer):
+        prior = LogNormal(0.2, 0.4)
+        c = AdaptiveController(
+            OrderStatisticEstimator("lognormal"),
+            optimizer,
+            k=20,
+            deadline=10.0,
+            min_samples=4,
+            prior=prior,
+        )
+        assert c.last_estimate is prior
+        for t in (0.5, 0.7, 0.9):
+            c.on_arrival(t)
+            assert c.last_estimate is prior
+            assert c.online_estimate() is None
+        c.on_arrival(1.1)  # min_samples reached: the online fit takes over
+        assert c.online_estimate() is not None
+        assert c.online_estimate() is not prior
+
     def test_validation(self, optimizer):
         with pytest.raises(ConfigError):
             AdaptiveController(

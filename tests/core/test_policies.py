@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     AdaptiveController,
-    CedarEmpiricalPolicy,
     CedarOfflinePolicy,
     CedarPolicy,
     EqualSplitPolicy,
@@ -136,7 +135,9 @@ class TestCedar:
         assert len(policy._optimizers) == 1
 
     def test_empirical_variant_name(self):
-        assert CedarEmpiricalPolicy().name == "cedar-empirical"
+        from repro.experiments import POLICY_FACTORIES
+
+        assert POLICY_FACTORIES["cedar-empirical"](128).name == "cedar-empirical"
 
     def test_offline_variant_static(self):
         policy = CedarOfflinePolicy(grid_points=128)

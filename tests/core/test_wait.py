@@ -10,6 +10,7 @@ from repro.core import (
     calculate_wait,
     wait_schedule,
 )
+from repro.core.quality import sweep_wait
 from repro.distributions import LogNormal
 from repro.errors import ConfigError
 
@@ -71,6 +72,26 @@ class TestWaitOptimizer:
     def test_invalid_deadline(self):
         with pytest.raises(ConfigError):
             WaitOptimizer([Stage(X2, 10)], 0.0)
+
+    def test_full_survival_curve_is_bit_identical(self):
+        """``shipment_survival=1.0`` discounts the gain by ``1.0 * x``, so
+        the curve equals the default one and the undiscounted sweep."""
+        plain = WaitOptimizer([Stage(X2, 10)], 6.0, grid_points=128)
+        full = WaitOptimizer(
+            [Stage(X2, 10)], 6.0, grid_points=128, shipment_survival=1.0
+        )
+        for x1 in (X1, LogNormal(1.0, 0.3)):
+            a = plain.curve(x1, 20)
+            b = full.curve(x1, 20)
+            c = sweep_wait(x1, 20, plain.tail)
+            assert a.quality.tobytes() == b.quality.tobytes()
+            assert a.quality.tobytes() == c.quality.tobytes()
+            assert a.epsilon == b.epsilon == c.epsilon
+
+    @pytest.mark.parametrize("survival", [0.0, -0.5, 1.0 + 1e-12, 2.0])
+    def test_survival_outside_unit_interval_rejected(self, survival):
+        with pytest.raises(ConfigError):
+            WaitOptimizer([Stage(X2, 10)], 6.0, shipment_survival=survival)
 
 
 class TestWaitSchedule:

@@ -6,10 +6,10 @@ import pytest
 from repro.core import (
     CedarFailureAwarePolicy,
     CedarPolicy,
-    FailureAwareWaitOptimizer,
     QueryContext,
     Stage,
     TreeSpec,
+    WaitOptimizer,
 )
 from repro.distributions import LogNormal
 from repro.errors import ConfigError
@@ -37,7 +37,7 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             CedarFailureAwarePolicy(worker_crash_prob=2.0)
         with pytest.raises(ConfigError):
-            FailureAwareWaitOptimizer(
+            WaitOptimizer(
                 TREE.stages[1:], 20.0, 64, shipment_survival=1.5
             )
 
@@ -99,16 +99,16 @@ class TestDeflatedPlanning:
         aware = CedarFailureAwarePolicy(
             ship_loss_prob=0.9, worker_crash_prob=0.9, grid_points=64
         )
-        deflated = aware._deflated_tree(TREE)
+        deflated = aware._planning_tree(TREE)
         assert all(s.fanout >= 1 for s in deflated.stages)
 
     def test_gain_discount_shortens_wait(self):
         """A discounted gain can only argue for stopping sooner: the
         failure-aware optimizer's wait never exceeds the plain one's."""
-        opt_plain = FailureAwareWaitOptimizer(
+        opt_plain = WaitOptimizer(
             TREE.stages[1:], 20.0, 128, shipment_survival=1.0
         )
-        opt_aware = FailureAwareWaitOptimizer(
+        opt_aware = WaitOptimizer(
             TREE.stages[1:], 20.0, 128, shipment_survival=0.5
         )
         x1 = LogNormal(0.0, 0.8)

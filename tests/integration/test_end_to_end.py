@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CedarEmpiricalPolicy,
     CedarPolicy,
     EqualSplitPolicy,
     IdealPolicy,
@@ -17,6 +16,7 @@ from repro.core import (
     max_quality,
 )
 from repro.distributions import LogNormal
+from repro.experiments import POLICY_FACTORIES
 from repro.simulation import run_experiment, simulate_query
 from repro.traces.base import LogNormalStageSpec, LogNormalWorkload
 
@@ -43,7 +43,7 @@ def result(workload):
         EqualSplitPolicy(),
         MeanSubtractPolicy(),
         CedarPolicy(grid_points=160),
-        CedarEmpiricalPolicy(grid_points=160),
+        POLICY_FACTORIES["cedar-empirical"](160),
         IdealPolicy(grid_points=160),
     ]
     return run_experiment(

@@ -6,8 +6,7 @@ Three sync directions, all asserted here:
   (``KNOWN_SPAN_ATTRS`` / ``KNOWN_PROFILE_SITES``);
 * every declared name is actually used somewhere in the package
   (no vocabulary rot);
-* linting the package source itself produces zero findings — the serve
-  subsystem carries no baseline entries.
+* linting the package source itself produces zero findings.
 """
 
 import json

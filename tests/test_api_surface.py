@@ -1,6 +1,11 @@
 """API-surface checks: top-level exports, result-object contracts, and
 small behaviors not pinned elsewhere."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,29 @@ from repro.core import FixedStopPolicy, QueryContext, TreeSpec
 from repro.distributions import LogNormal
 from repro.errors import ConfigError
 from repro.simulation import simulate_query
+
+
+_SRC = pathlib.Path(repro.__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("statement", ["import repro", "import repro.serve"])
+def test_import_does_not_load_scipy_stats(statement):
+    """``scipy.stats`` is a third of the cold import and only
+    ``OrderStatistic.pdf/mean/var`` use it, so they import it lazily.
+    A fresh interpreter shows what the import alone pulls in."""
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys; {statement}; print('scipy.stats' in sys.modules)",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestTopLevelExports:
